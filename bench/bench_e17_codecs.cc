@@ -1,22 +1,19 @@
-// Experiment E17 — what the bundle codec layer buys on disk.
+// Experiment E17 — what bundle format v2 buys on disk.
 //
 // Over the E11 storage workloads (log 1k / log 16k / dna 256k), export the
-// prepared state under the legacy v1 format and under format v2 with each
-// codec preference, and compare bundle sizes. The acceptance bar, asserted
-// by exit code:
+// prepared state in the legacy v1 format (the frozen internal writer) and
+// in format v2 (what SavePrepared writes: bitpacked integer streams), and
+// compare bundle sizes. The acceptance bar, asserted by exit code:
 //
-//   (a) corpus-wide, sum(v1 bytes) / sum(auto bytes) >= 1.5x — the
-//       tentpole compression claim;
-//   (b) the default (kAuto) is never larger than any fixed codec choice
-//       (it picks the smallest eligible encoding per stream);
-//   (c) every bundle, under every codec, loads back and answers Count
-//       identically to the in-memory preparation — compression never
-//       trades away correctness.
+//   (a) corpus-wide, sum(v1 bytes) / sum(v2 bytes) >= 1.5x;
+//   (b) both bundles load back and answer Count identically to the
+//       in-memory preparation — compression never trades away
+//       correctness.
 //
-// Also reports disk-warm load time per codec so the E11 ≥10× disk-warm
-// story can be sanity-checked against the decode cost (v2 decoding is
-// sequential stream work over fewer bytes; E11 itself still enforces its
-// bar on the default path).
+// Also reports disk-warm load time per format, so the E11 >= 10x
+// disk-warm story can be sanity-checked against the decode cost (v2
+// decoding is sequential stream work over fewer bytes; E11 itself still
+// enforces its bar).
 //
 // Emits one JSON document ("JSON: " line and --json=PATH) extending the
 // BENCH_*.json trajectory.
@@ -31,6 +28,7 @@
 #include "harness.h"
 #include "slpspan/slpspan.h"
 #include "slpspan/textgen.h"
+#include "storage/prepared_bundle.h"
 
 namespace slpspan {
 namespace {
@@ -43,20 +41,10 @@ std::string TempDir() {
   return dir;
 }
 
-struct CodecChoice {
-  const char* name;
-  BundleCodec codec;
-};
-
-constexpr CodecChoice kChoices[] = {
-    {"v1", BundleCodec::kV1},           {"raw", BundleCodec::kRaw},
-    {"varintgb", BundleCodec::kVarintGB}, {"bitpack", BundleCodec::kBitPack},
-    {"eliasfano", BundleCodec::kEliasFano}, {"auto", BundleCodec::kAuto}};
-
-bool CodecSweep(const std::string& dir, bench::Json* json) {
-  bench::Table table("E17: bundle bytes per codec (v1 = legacy format)",
-                     {"workload", "v1 (KiB)", "raw", "varintgb", "bitpack",
-                      "eliasfano", "auto", "v1/auto", "t_load auto (us)"});
+bool FormatSweep(const std::string& dir, bench::Json* json) {
+  bench::Table table("E17: bundle bytes, legacy v1 vs format v2",
+                     {"workload", "v1 (KiB)", "v2 (KiB)", "v1/v2",
+                      "t_load v1 (us)", "t_load v2 (us)"});
 
   struct Workload {
     const char* name;
@@ -78,7 +66,7 @@ bool CodecSweep(const std::string& dir, bench::Json* json) {
   };
 
   bool ok = true;
-  uint64_t sum_v1 = 0, sum_auto = 0;
+  uint64_t sum_v1 = 0, sum_v2 = 0;
   std::vector<std::string> rows;
   int wi = 0;
   for (const Workload& w : workloads) {
@@ -86,79 +74,71 @@ bool CodecSweep(const std::string& dir, bench::Json* json) {
     Result<Query> query = Query::Compile(w.pattern, w.alphabet);
     SLPSPAN_CHECK(query.ok());
     const DocumentPtr doc = *Document::FromText(w.text);
+    // Count first: both bundles then carry the counting tables.
     const uint64_t expected = Engine(*query, doc).Count()->value;
 
-    uint64_t bytes[std::size(kChoices)] = {};
-    double t_load_auto = 0;
-    for (size_t c = 0; c < std::size(kChoices); ++c) {
-      const std::string path = dir + "/w" + std::to_string(wi) + "_" +
-                               kChoices[c].name + ".prep";
-      SLPSPAN_CHECK(
-          doc->SavePrepared(*query, path, nullptr, kChoices[c].codec).ok());
-      bytes[c] = std::filesystem::file_size(path);
+    const std::string prefix = dir + "/w" + std::to_string(wi);
+    const std::string v2_path = prefix + "_v2.prep";
+    SLPSPAN_CHECK(doc->SavePrepared(*query, v2_path).ok());
+    // The v1 writer is internal-only: serialize the same cached state.
+    const std::string v1_path = prefix + "_v1.prep";
+    {
+      std::ofstream out(v1_path, std::ios::binary | std::ios::trunc);
+      const std::string v1 = storage::SerializePreparedStateV1(
+          *doc->PreparedFor(*query), doc->fingerprint(),
+          query->fingerprint());
+      out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+      SLPSPAN_CHECK(static_cast<bool>(out));
+    }
 
-      // (c) correctness under every codec: load into a fresh wrapper and
-      // re-answer Count.
-      const DocumentPtr warm = Document::FromSlp(doc->slp());
-      const double t_load = bench::TimeSeconds([&] {
+    uint64_t bytes[2] = {};
+    double t_load[2] = {};
+    const std::string paths[2] = {v1_path, v2_path};
+    for (int f = 0; f < 2; ++f) {
+      bytes[f] = std::filesystem::file_size(paths[f]);
+      t_load[f] = bench::TimeSeconds([&] {
         const DocumentPtr fresh = Document::FromSlp(doc->slp());
-        SLPSPAN_CHECK(fresh->LoadPrepared(*query, path).ok());
+        SLPSPAN_CHECK(fresh->LoadPrepared(*query, paths[f]).ok());
         SLPSPAN_CHECK(Engine(*query, fresh).Count().ok());
       });
-      SLPSPAN_CHECK(warm->LoadPrepared(*query, path).ok());
+      // (b) correctness: load into a fresh wrapper and re-answer Count.
+      const DocumentPtr warm = Document::FromSlp(doc->slp());
+      SLPSPAN_CHECK(warm->LoadPrepared(*query, paths[f]).ok());
       if (Engine(*query, warm).Count()->value != expected) {
-        std::fprintf(stderr, "E17 FAIL: %s/%s loads a wrong count\n", w.name,
-                     kChoices[c].name);
-        ok = false;
-      }
-      if (kChoices[c].codec == BundleCodec::kAuto) t_load_auto = t_load;
-    }
-
-    const uint64_t v1 = bytes[0], auto_bytes = bytes[std::size(kChoices) - 1];
-    sum_v1 += v1;
-    sum_auto += auto_bytes;
-    // (b) auto is the per-stream minimum; no fixed choice may beat it.
-    for (size_t c = 0; c < std::size(kChoices); ++c) {
-      if (auto_bytes > bytes[c]) {
-        std::fprintf(stderr, "E17 FAIL: %s auto (%llu B) > %s (%llu B)\n",
-                     w.name, static_cast<unsigned long long>(auto_bytes),
-                     kChoices[c].name,
-                     static_cast<unsigned long long>(bytes[c]));
+        std::fprintf(stderr, "E17 FAIL: %s v%d loads a wrong count\n", w.name,
+                     f + 1);
         ok = false;
       }
     }
+    sum_v1 += bytes[0];
+    sum_v2 += bytes[1];
 
-    table.AddRow(
-        {w.name, bench::FmtDouble(static_cast<double>(v1) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(bytes[1]) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(bytes[2]) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(bytes[3]) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(bytes[4]) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(auto_bytes) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(v1) / auto_bytes, 2),
-         bench::FmtMicros(t_load_auto)});
+    table.AddRow({w.name, bench::FmtDouble(static_cast<double>(bytes[0]) / 1024, 1),
+                  bench::FmtDouble(static_cast<double>(bytes[1]) / 1024, 1),
+                  bench::FmtDouble(static_cast<double>(bytes[0]) / bytes[1], 2),
+                  bench::FmtMicros(t_load[0]), bench::FmtMicros(t_load[1])});
     bench::Json row;
     row.Put("workload", std::string(w.name));
-    for (size_t c = 0; c < std::size(kChoices); ++c) {
-      row.Put(std::string("bytes_") + kChoices[c].name, bytes[c]);
-    }
-    row.Put("t_load_auto_us", t_load_auto * 1e6);
+    row.Put("bytes_v1", bytes[0]);
+    row.Put("bytes_v2", bytes[1]);
+    row.Put("t_load_v1_us", t_load[0] * 1e6);
+    row.Put("t_load_v2_us", t_load[1] * 1e6);
     rows.push_back(row.Str());
   }
   table.Print();
 
-  const double ratio = static_cast<double>(sum_v1) / sum_auto;
+  const double ratio = static_cast<double>(sum_v1) / sum_v2;
   std::printf("\nE17 corpus compression: %llu -> %llu bytes (%.2fx)\n",
               static_cast<unsigned long long>(sum_v1),
-              static_cast<unsigned long long>(sum_auto), ratio);
-  // (a) the tentpole bar.
+              static_cast<unsigned long long>(sum_v2), ratio);
+  // (a) the compression bar.
   if (ratio < 1.5) {
     std::fprintf(stderr, "E17 FAIL: corpus ratio %.2fx < 1.5x bar\n", ratio);
     ok = false;
   }
-  json->PutRaw("e17_codecs", bench::Json::Array(rows));
+  json->PutRaw("e17_formats", bench::Json::Array(rows));
   json->Put("e17_sum_v1_bytes", sum_v1);
-  json->Put("e17_sum_auto_bytes", sum_auto);
+  json->Put("e17_sum_v2_bytes", sum_v2);
   json->Put("e17_corpus_ratio", ratio);
   json->Put("e17_ratio_15x", std::string(ratio >= 1.5 ? "true" : "false"));
   return ok;
@@ -176,7 +156,7 @@ int main(int argc, char** argv) {
   const std::string dir = slpspan::TempDir();
   slpspan::bench::Json json;
   json.Put("bench", std::string("e17_codecs"));
-  const bool ok = slpspan::CodecSweep(dir, &json);
+  const bool ok = slpspan::FormatSweep(dir, &json);
   std::filesystem::remove_all(dir);
 
   const std::string out = json.Str();

@@ -93,7 +93,7 @@ void BM_NormalizeAndDeterminize(benchmark::State& state) {
   Result<Spanner> sp = Spanner::Compile(".*x{(a|b)(a|b)*}.*y{c+}.*", "abc");
   SLPSPAN_CHECK(sp.ok());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Determinize(sp->normalized()));
+    benchmark::DoNotOptimize(Determinize(sp->normalized()).value());
   }
 }
 BENCHMARK(BM_NormalizeAndDeterminize);
@@ -101,7 +101,7 @@ BENCHMARK(BM_NormalizeAndDeterminize);
 void BM_EvalTablesBuild(benchmark::State& state) {
   Result<Spanner> sp = Spanner::Compile("(ab)*x{ab}(ab)*", "ab");
   SLPSPAN_CHECK(sp.ok());
-  const Nfa nfa = AppendSentinel(Determinize(sp->normalized()));
+  const Nfa nfa = AppendSentinel(Determinize(sp->normalized()).value());
   const Slp slp =
       SlpAppendSymbol(SlpRepeat("ab", uint64_t{1} << static_cast<uint32_t>(
                                           state.range(0))).value(),

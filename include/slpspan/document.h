@@ -27,7 +27,6 @@
 #include <string_view>
 
 #include "slp/slp.h"
-#include "slpspan/bundle_codec.h"
 #include "slpspan/prepare.h"
 #include "slpspan/query.h"
 #include "slpspan/status.h"
@@ -84,12 +83,10 @@ class Document {
   /// cache to retain (the built state is serialized directly); `stats`,
   /// when non-null, receives the PrepareStats of the build the bundle was
   /// serialized from (see PreparedFor for the loaded/cached semantics).
-  /// `codec` selects the bundle's section encoding (slpspan/bundle_codec.h):
-  /// the default kAuto picks the smallest codec per stream; kV1 writes the
-  /// legacy uncompressed format.
+  /// The bundle is written in format v2, every integer stream bitpacked
+  /// (docs/STORAGE_CODECS.md); LoadPrepared also reads legacy v1 bundles.
   Status SavePrepared(const Query& query, const std::string& path,
-                      PrepareStats* stats = nullptr,
-                      BundleCodec codec = BundleCodec::kAuto) const;
+                      PrepareStats* stats = nullptr) const;
 
   /// Imports a bundle written by SavePrepared into the process-wide cache,
   /// so the first Engine operation on (this document, `query`) skips

@@ -50,7 +50,8 @@ struct QueryOptions {
 class Query {
  public:
   /// Compiles a spanner regex (spanner/regex_parser.h dialect) over the
-  /// distinct bytes of `alphabet`. Fails with kParseError on bad syntax and
+  /// distinct bytes of `alphabet`. Fails with kParseError on bad syntax,
+  /// kResourceExhausted when determinization passes its 2^20-state cap and
   /// kNotSupported when the query exceeds the implementation envelope.
   static Result<Query> Compile(std::string_view pattern,
                                std::string_view alphabet,

@@ -31,7 +31,11 @@ Status SpannerEvaluator::Init(const Spanner& spanner) {
   nonempty_nfa_ = Normalize(ProjectMarkersToEps(norm));
   model_nfa_ = AppendSentinel(norm);
   Nfa eval = model_nfa_;
-  if (opts_.determinize) eval = Trim(Determinize(eval));
+  if (opts_.determinize) {
+    Result<Nfa> det = Determinize(eval);
+    if (!det.ok()) return det.status();
+    eval = Trim(*det);
+  }
   eval_nfa_ = std::move(eval);
   if (eval_nfa_.NumStates() > 0xFFFF) {  // states packed in 16 bits
     return Status::NotSupported(

@@ -71,11 +71,14 @@ class PreparedDocument {
 class SpannerEvaluator {
  public:
   /// CHECK-fails when the evaluation automaton exceeds the 16-bit state
-  /// budget; use Make() where that must surface as a recoverable error.
+  /// budget or determinization blows up; use Make() where that must
+  /// surface as a recoverable error.
   explicit SpannerEvaluator(const Spanner& spanner, EvaluatorOptions opts = {});
 
-  /// Status-returning factory: kNotSupported when the (possibly determinized)
-  /// evaluation automaton does not fit the packed 16-bit state encoding.
+  /// Status-returning factory: kResourceExhausted when subset construction
+  /// passes Determinize's state cap, kNotSupported when the (possibly
+  /// determinized) evaluation automaton does not fit the packed 16-bit
+  /// state encoding.
   static Result<SpannerEvaluator> Make(const Spanner& spanner,
                                        EvaluatorOptions opts = {});
 

@@ -135,7 +135,9 @@ Nfa Normalize(const Nfa& raw) {
 }
 
 Nfa Trim(const Nfa& nfa) {
-  SLPSPAN_CHECK(!nfa.HasEpsArcs());
+  // Contract: callers pass Normalize() output, which is eps-free whatever
+  // the pattern was.
+  SLPSPAN_CHECK(!nfa.HasEpsArcs());  // repo-lint: allow(check-in-library)
   const uint32_t n = nfa.NumStates();
 
   std::vector<bool> fwd(n, false);
@@ -203,7 +205,8 @@ Nfa Trim(const Nfa& nfa) {
 }
 
 Nfa AppendSentinel(const Nfa& nfa, SymbolId sentinel) {
-  SLPSPAN_CHECK(!nfa.HasEpsArcs());
+  // Contract: callers pass Normalize() output (eps-free for every pattern).
+  SLPSPAN_CHECK(!nfa.HasEpsArcs());  // repo-lint: allow(check-in-library)
   Nfa out;
   while (out.NumStates() < nfa.NumStates()) out.AddState();
   for (StateId s = 0; s < nfa.NumStates(); ++s) {
@@ -230,8 +233,10 @@ Nfa ProjectMarkersToEps(const Nfa& nfa) {
   return out;
 }
 
-Nfa Determinize(const Nfa& nfa, uint32_t max_states) {
-  SLPSPAN_CHECK(!nfa.HasEpsArcs());
+Result<Nfa> Determinize(const Nfa& nfa, uint32_t max_states) {
+  // Contract: callers pass Normalize()/AppendSentinel() output (eps-free
+  // for every pattern); only the state count depends on the input.
+  SLPSPAN_CHECK(!nfa.HasEpsArcs());  // repo-lint: allow(check-in-library)
   using Subset = std::vector<StateId>;
 
   struct SubsetHash {
@@ -248,17 +253,27 @@ Nfa Determinize(const Nfa& nfa, uint32_t max_states) {
   Nfa out;
   std::unordered_map<Subset, StateId, SubsetHash> ids;
   std::vector<Subset> subsets;
-  auto intern = [&](Subset s) -> StateId {
+  // Returns false once interning `s` would exceed `max_states`.
+  auto intern = [&](Subset s, StateId* id) -> bool {
     auto it = ids.find(s);
-    if (it != ids.end()) return it->second;
-    const StateId id = subsets.empty() ? 0 : out.AddState();
-    SLPSPAN_CHECK(out.NumStates() <= max_states);
-    ids.emplace(s, id);
+    if (it != ids.end()) {
+      *id = it->second;
+      return true;
+    }
+    if (!subsets.empty() && out.NumStates() >= max_states) return false;
+    *id = subsets.empty() ? 0 : out.AddState();
+    ids.emplace(s, *id);
     subsets.push_back(std::move(s));
-    return id;
+    return true;
+  };
+  const auto too_many = [max_states] {
+    return Status::ResourceExhausted(
+        "determinized automaton exceeds " + std::to_string(max_states) +
+        " states");
   };
 
-  intern(Subset{0});
+  StateId to = 0;
+  (void)intern(Subset{0}, &to);  // the first subset always fits
   for (StateId cur = 0; cur < subsets.size(); ++cur) {
     // NOTE: `subsets` may grow; index access stays valid, references do not.
     const Subset members = subsets[cur];
@@ -272,10 +287,12 @@ Nfa Determinize(const Nfa& nfa, uint32_t max_states) {
     }
     out.SetAccepting(cur, accepting);
     for (const auto& [sym, tos] : by_sym) {
-      out.AddCharArc(cur, sym, intern(Subset(tos.begin(), tos.end())));
+      if (!intern(Subset(tos.begin(), tos.end()), &to)) return too_many();
+      out.AddCharArc(cur, sym, to);
     }
     for (const auto& [mask, tos] : by_mask) {
-      out.AddMarkArc(cur, mask, intern(Subset(tos.begin(), tos.end())));
+      if (!intern(Subset(tos.begin(), tos.end()), &to)) return too_many();
+      out.AddMarkArc(cur, mask, to);
     }
   }
   return out;
@@ -299,7 +316,9 @@ bool AcceptsSymbols(const Nfa& nfa, const std::vector<SymbolId>& word,
   for (SymbolId sym : word) {
     std::set<StateId> next;
     if (SymbolTable::IsMaskSymbol(sym)) {
-      SLPSPAN_CHECK(table != nullptr);
+      // Contract: a word holding mask symbols comes with the table that
+      // interned them (documented on AcceptsSymbols).
+      SLPSPAN_CHECK(table != nullptr);  // repo-lint: allow(check-in-library)
       const MarkerMask mask = table->MaskOf(sym);
       for (StateId s : cur) {
         for (const auto& a : nfa.MarkArcsFrom(s)) {

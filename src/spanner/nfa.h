@@ -23,6 +23,7 @@
 #include "slp/slp.h"
 #include "spanner/symbol_table.h"
 #include "spanner/variables.h"
+#include "util/status.h"
 
 namespace slpspan {
 
@@ -52,22 +53,25 @@ class Nfa {
 
   uint32_t NumStates() const { return static_cast<uint32_t>(accepting_.size()); }
 
+  // Builder contract checks: callers only name states they added and never
+  // a zero marker mask. The regex compiler and the automaton passes hold
+  // that for every pattern; only hand-built automata can break it.
   void AddCharArc(StateId from, SymbolId sym, StateId to) {
-    SLPSPAN_DCHECK(from < NumStates() && to < NumStates());
+    SLPSPAN_DCHECK(from < NumStates() && to < NumStates());  // repo-lint: allow(check-in-library)
     char_arcs_[from].push_back({sym, to});
   }
   void AddMarkArc(StateId from, MarkerMask mask, StateId to) {
-    SLPSPAN_DCHECK(from < NumStates() && to < NumStates());
-    SLPSPAN_CHECK(mask != 0);
+    SLPSPAN_DCHECK(from < NumStates() && to < NumStates());  // repo-lint: allow(check-in-library)
+    SLPSPAN_CHECK(mask != 0);  // repo-lint: allow(check-in-library)
     mark_arcs_[from].push_back({mask, to});
   }
   void AddEpsArc(StateId from, StateId to) {
-    SLPSPAN_DCHECK(from < NumStates() && to < NumStates());
+    SLPSPAN_DCHECK(from < NumStates() && to < NumStates());  // repo-lint: allow(check-in-library)
     eps_arcs_[from].push_back(to);
   }
 
   void SetAccepting(StateId s, bool accepting = true) {
-    SLPSPAN_DCHECK(s < NumStates());
+    SLPSPAN_DCHECK(s < NumStates());  // repo-lint: allow(check-in-library)
     accepting_[s] = accepting;
   }
   bool IsAccepting(StateId s) const { return accepting_[s]; }
@@ -114,9 +118,11 @@ Nfa AppendSentinel(const Nfa& nfa, SymbolId sentinel = kSentinelSymbol);
 Nfa ProjectMarkersToEps(const Nfa& nfa);
 
 /// Subset construction. Input must be eps-free; output is deterministic over
-/// the symbols/masks that actually occur. `max_states` guards against
-/// exponential blow-up (CHECK).
-Nfa Determinize(const Nfa& nfa, uint32_t max_states = 1u << 20);
+/// the symbols/masks that actually occur. Construction stops with
+/// kResourceExhausted as soon as the output would exceed `max_states`
+/// states: patterns reach this from the wire, and a few dozen bytes of
+/// pattern can demand 2^20 subsets.
+Result<Nfa> Determinize(const Nfa& nfa, uint32_t max_states = 1u << 20);
 
 /// Simulates `nfa` (may contain eps arcs) on a symbol sequence that may
 /// contain interned mask symbols; `table` decodes them (may be null if the

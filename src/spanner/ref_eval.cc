@@ -22,7 +22,14 @@ RefEvaluator::RefEvaluator(const Spanner& spanner, bool determinize)
   nonempty_nfa_ = Normalize(ProjectMarkersToEps(norm));
   model_nfa_ = norm;
   Nfa with_sentinel = AppendSentinel(norm);
-  eval_nfa_ = determinize ? Determinize(with_sentinel) : with_sentinel;
+  if (determinize) {
+    // The oracle only ever sees the small patterns of tests and benches.
+    Result<Nfa> det = Determinize(with_sentinel);
+    SLPSPAN_CHECK(det.ok());
+    eval_nfa_ = std::move(det).value();
+  } else {
+    eval_nfa_ = std::move(with_sentinel);
+  }
 }
 
 bool RefEvaluator::CheckNonEmptiness(std::string_view doc) const {

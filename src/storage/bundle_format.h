@@ -13,8 +13,8 @@
 //   <payload>      sections: grammar, eval tables, optional counter
 //
 // Version 2 keeps the header identical and changes only the payload
-// sections: integer streams carry a per-section codec tag (see
-// src/storage/codec/codec.h and docs/STORAGE_CODECS.md). Version 1
+// sections: integer streams are bitpacked behind a one-byte stream tag
+// (see src/storage/codec/codec.h and docs/STORAGE_CODECS.md). Version 1
 // bundles remain readable byte-for-byte.
 //
 // Readers are strictly bounds-checked: every primitive read validates the

@@ -1,22 +1,22 @@
-// Integer codecs for the ".prep" bundle format v2 — the one layer allowed
+// Integer streams of the ".prep" bundle format v2 — the one layer allowed
 // to turn a section's uint64 stream into bytes and back.
 //
 // Every v2 section that carries an integer stream writes it as a *tagged
-// stream*: one CodecId byte followed by that codec's encoding of `count`
-// values, where `count` is always known to the reader from surrounding
-// section data (never trusted from the stream itself). Four codecs:
+// stream*: one tag byte followed by the encoding of `count` values, where
+// `count` is always known to the reader from surrounding section data
+// (never trusted from the stream itself). One writer, two readers:
 //
-//   kRaw       count fixed-width little-endian u64 words (the v1 shape).
-//   kVarintGB  groups of four values behind a 2-bit-per-value length tag
-//              (byte lengths 1/2/4/8) — group-varint adapted to u64, for
-//              the counter section's small key deltas and counts.
-//   kBitPack   blocks of 128 values packed LSB-first at the block's max
-//              bit width (SIMD-BP128 style; one width byte per block).
-//              Unpacking dispatches to a scalar or AVX2 translation unit
-//              following the src/core/kernels/ pattern.
-//   kEliasFano monotone non-decreasing streams only (sparse-matrix and
-//              sparse-grid positions): packed low bits plus a unary
-//              high-bits bitvector, ~2 + log2(universe/count) bits/value.
+//   tag 2  bitpack — blocks of 128 values packed LSB-first at the block's
+//          max bit width (one width byte per block, then
+//          ceil(n*width/8) bytes). The only encoding the writer emits.
+//   tag 0  raw — count fixed-width little-endian u64 words. Read-only:
+//          earlier writers used it for empty and size-tied streams.
+//
+// Tags 1 (VarintGB) and 3 (Elias-Fano) are retired: picking among codecs
+// per stream saved 0.008 % on bench E17. Earlier writers emitted them
+// (the old default chose VarintGB wherever it tied or beat bitpack), so
+// such bundles exist; they decode to kCorruption like any unknown tag,
+// which the spill tier treats as a miss (delete and rebuild).
 //
 // Decoders are strictly bounds-checked, mirroring bundle_format.h: every
 // length implied by the input is validated against the reader's remaining
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "slpspan/bundle_codec.h"
 #include "storage/bundle_format.h"
 #include "util/status.h"
 
@@ -41,56 +40,15 @@ namespace slpspan {
 namespace storage {
 namespace codec {
 
-/// Wire tag of a tagged stream — the first byte after a v2 section header.
-enum class CodecId : uint8_t {
-  kRaw = 0,
-  kVarintGB = 1,
-  kBitPack = 2,
-  kEliasFano = 3,
-};
+/// Wire tags a reader accepts — the first byte of a tagged stream.
+inline constexpr uint8_t kRawTag = 0;
+inline constexpr uint8_t kBitPackTag = 2;
 
-/// One integer codec. Implementations are stateless singletons.
-class Codec {
- public:
-  virtual ~Codec() = default;
+/// Writes `values[0..count)` as a bitpack-tagged stream.
+void WriteTaggedU64s(const uint64_t* values, size_t count, BundleWriter* w);
 
-  virtual CodecId id() const = 0;
-  virtual const char* name() const = 0;
-
-  /// Appends the encoding of values[0..count) to `*w`. Elias-Fano requires
-  /// the values to be monotone non-decreasing; every other codec accepts
-  /// arbitrary u64 streams.
-  virtual void Encode(const uint64_t* values, size_t count,
-                      BundleWriter* w) const = 0;
-
-  /// Decodes exactly `count` values into `*out` (resized by the codec only
-  /// after its minimum encoded size has been validated against the
-  /// reader). Strictly bounds-checked; kCorruption on any malformed input.
-  virtual Status Decode(BundleReader* r, size_t count,
-                        std::vector<uint64_t>* out) const = 0;
-};
-
-const Codec& RawCodec();
-const Codec& VarintGBCodec();
-const Codec& BitPackCodec();
-const Codec& EliasFanoCodec();
-
-/// Wire tag -> codec; nullptr for an unknown tag (reader rejects it).
-const Codec* CodecById(uint8_t id);
-
-/// Whether a stream is known monotone non-decreasing (position lists) —
-/// the precondition for Elias-Fano eligibility.
-enum class StreamKind { kGeneral, kMonotone };
-
-/// Writes `values` as a tagged stream: the codec implied by `choice`
-/// (BundleCodec::kAuto encodes with every eligible codec and keeps the
-/// smallest; a fixed choice that does not apply to `kind` — Elias-Fano on
-/// a general stream — falls back to kRaw), then its payload.
-void WriteTaggedU64s(const uint64_t* values, size_t count, BundleCodec choice,
-                     StreamKind kind, BundleWriter* w);
-
-/// Reads a tagged stream of exactly `count` values; kCorruption on an
-/// unknown codec tag or malformed payload.
+/// Reads a tagged stream of exactly `count` values into `*out`;
+/// kCorruption on a retired or unknown tag or a malformed payload.
 Status ReadTaggedU64s(BundleReader* r, size_t count,
                       std::vector<uint64_t>* out);
 

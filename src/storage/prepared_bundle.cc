@@ -1,11 +1,11 @@
 // Prepared-state bundles: write a PreparedState to disk and load it back,
 // optionally mmap-backed, with document/query fingerprint verification.
 //
-// Two payload layouts share this file: format v1 (raw sections, still
-// written under BundleCodec::kV1 and readable forever) and format v2,
-// whose sections route their integer streams through the codec layer
-// (src/storage/codec/) behind per-section tags. See docs/STORAGE_CODECS.md
-// for the byte-level v2 map.
+// Two payload layouts share this file: format v1 (raw sections, readable
+// forever; its frozen writer survives only as the reference that size
+// checks compare against) and format v2, whose sections route their
+// integer streams through the tagged streams of src/storage/codec/. See
+// docs/STORAGE_CODECS.md for the byte-level v2 map.
 #include "storage/prepared_bundle.h"
 
 #include <unistd.h>
@@ -32,18 +32,28 @@ namespace storage {
 namespace {
 
 using codec::ReadTaggedU64s;
-using codec::StreamKind;
 using codec::WriteTaggedU64s;
 
 // Per-matrix / per-grid layout tags. kDense/kSparse are the v1 raw layouts
-// (still chosen by v2 writers when they win on size); the coded layouts
-// wrap their streams in codec tags and appear in v2 bundles only.
+// (v2 readers still accept them); the coded layouts wrap their streams in
+// tagged streams and appear in v2 bundles only.
 constexpr uint8_t kDense = 0;
 constexpr uint8_t kSparse = 1;
 constexpr uint8_t kDenseCoded = 2;
 constexpr uint8_t kSparseCoded = 3;
 
-// Grammar-section tags (v2 only; v1 has no tag byte).
+// A pool matrix materializes q×q bits however few bytes encode it (an
+// empty sparse matrix is 5 bytes, 512 MiB at q = 65535), so the pool's
+// whole footprint must stay within this factor of the bundle payload.
+// Writer-produced bundles measured at most ~1000× (a 1000-symbol literal
+// pattern, q = 1004; ≤ 180× for every other shape tried). Given the
+// leaf-grid cap below and >= 5 bytes per encoded matrix, an honest bundle
+// only reaches 65536× with more than 512 distinct matrices at q above
+// ~1600: over 0.15 GiB of matrices.
+constexpr uint64_t kMaxPoolExpansion = 65536;
+
+// Grammar-section tags (v2 only; v1 has no tag byte). The v2 writer emits
+// kGrammarCompact; readers still accept kGrammarRaw.
 constexpr uint8_t kGrammarRaw = 0;
 constexpr uint8_t kGrammarCompact = 1;
 
@@ -152,16 +162,6 @@ Result<Slp> ReadGrammarCompact(BundleReader* r) {
   return Slp::FromRules(rules, static_cast<uint32_t>(root));
 }
 
-void WriteGrammarV2(const Slp& slp, BundleCodec choice, BundleWriter* w) {
-  if (choice == BundleCodec::kRaw) {
-    w->U8(kGrammarRaw);
-    WriteGrammar(slp, w);
-  } else {
-    w->U8(kGrammarCompact);
-    WriteGrammarCompact(slp, w);
-  }
-}
-
 Result<Slp> ReadGrammarV2(BundleReader* r) {
   uint8_t tag = 0;
   Status st = r->U8(&tag);
@@ -209,14 +209,9 @@ void WriteMatrix(const BoolMatrix& m, uint32_t q, BundleWriter* w) {
 
 // v2 matrices pick the smaller of two codec-backed layouts: dense-coded
 // (every logical word through one tagged stream) or sparse-coded (the
-// strictly increasing non-zero word positions — Elias-Fano territory —
-// plus the non-zero words themselves).
-void WriteMatrixV2(const BoolMatrix& m, uint32_t q, BundleCodec choice,
-                   BundleWriter* w) {
-  if (choice == BundleCodec::kRaw) {
-    WriteMatrix(m, q, w);
-    return;
-  }
+// strictly increasing non-zero word positions plus the non-zero words
+// themselves).
+void WriteMatrixV2(const BoolMatrix& m, uint32_t q, BundleWriter* w) {
   const uint32_t words = m.logical_words_per_row();
   std::vector<uint64_t> all;
   all.reserve(static_cast<size_t>(q) * words);
@@ -232,14 +227,11 @@ void WriteMatrixV2(const BoolMatrix& m, uint32_t q, BundleCodec choice,
     }
   }
   BundleWriter dense;
-  WriteTaggedU64s(all.data(), all.size(), choice, StreamKind::kGeneral,
-                  &dense);
+  WriteTaggedU64s(all.data(), all.size(), &dense);
   BundleWriter sparse;
   sparse.U32(static_cast<uint32_t>(positions.size()));
-  WriteTaggedU64s(positions.data(), positions.size(), choice,
-                  StreamKind::kMonotone, &sparse);
-  WriteTaggedU64s(bits.data(), bits.size(), choice, StreamKind::kGeneral,
-                  &sparse);
+  WriteTaggedU64s(positions.data(), positions.size(), &sparse);
+  WriteTaggedU64s(bits.data(), bits.size(), &sparse);
   if (sparse.buffer().size() < dense.buffer().size()) {
     w->U8(kSparseCoded);
     w->Bytes(sparse.buffer().data(), sparse.buffer().size());
@@ -357,20 +349,20 @@ void WriteMatrixPool(const EvalTables& tables, uint32_t q, BundleWriter* w) {
 // one tagged stream; bitpacking takes them to ~log2(pool) bits each
 // instead of 16 or 32.
 void WriteMatrixPoolV2(const EvalTables& tables, uint32_t q,
-                       BundleCodec choice, BundleWriter* w) {
+                       BundleWriter* w) {
   const std::vector<BoolMatrix>& pool = tables.pool();
   w->U32(static_cast<uint32_t>(pool.size()));
-  for (const BoolMatrix& m : pool) WriteMatrixV2(m, q, choice, w);
+  for (const BoolMatrix& m : pool) WriteMatrixV2(m, q, w);
   std::vector<uint64_t> indexes;
   indexes.reserve(tables.u_indexes().size() + tables.w_indexes().size());
   for (const uint32_t idx : tables.u_indexes()) indexes.push_back(idx);
   for (const uint32_t idx : tables.w_indexes()) indexes.push_back(idx);
-  WriteTaggedU64s(indexes.data(), indexes.size(), choice,
-                  StreamKind::kGeneral, w);
+  WriteTaggedU64s(indexes.data(), indexes.size(), w);
 }
 
 Status ReadMatrixPool(BundleReader* r, uint32_t version, uint32_t n,
-                      uint32_t q, std::vector<BoolMatrix>* pool,
+                      uint32_t q, uint64_t payload_size,
+                      std::vector<BoolMatrix>* pool,
                       std::vector<uint32_t>* u_idx,
                       std::vector<uint32_t>* w_idx) {
   uint32_t num_unique = 0;
@@ -379,6 +371,12 @@ Status ReadMatrixPool(BundleReader* r, uint32_t version, uint32_t n,
   if (num_unique == 0) return Status::Corruption("empty matrix pool");
   if (num_unique > r->remaining()) {  // every matrix takes >= 1 byte
     return Status::Corruption("truncated matrix pool");
+  }
+  // Every pool matrix has the same footprint, so the cumulative cap is one
+  // check made before any of them is allocated (< 2^61: no overflow).
+  const uint64_t matrix_bytes = uint64_t{q} * ((q + 63) / 64) * 8;
+  if (num_unique * matrix_bytes / kMaxPoolExpansion > payload_size) {
+    return Status::Corruption("implausible matrix pool size");
   }
   const bool coded = version >= 2;
   pool->resize(num_unique);
@@ -429,9 +427,8 @@ Status ReadMatrixPool(BundleReader* r, uint32_t version, uint32_t n,
 
 using LeafGrid = std::vector<std::vector<MarkerMask>>;
 
-void WriteLeafGrid(const Slp& slp, const EvalTables& tables, NtId leaf,
-                   uint32_t q, BundleWriter* w) {
-  (void)slp;
+void WriteLeafGrid(const EvalTables& tables, NtId leaf, uint32_t q,
+                   BundleWriter* w) {
   const size_t cells = static_cast<size_t>(q) * q;
   size_t nonempty = 0, total_masks = 0;
   for (StateId i = 0; i < q; ++i) {
@@ -469,14 +466,10 @@ void WriteLeafGrid(const Slp& slp, const EvalTables& tables, NtId leaf,
 
 // v2 grids mirror the matrix layout choice: dense-coded streams every
 // cell's length (mostly zero -> bitpack collapses them), sparse-coded
-// streams the non-empty cell positions (monotone -> Elias-Fano) plus their
-// lengths; the mask payload rides one tagged stream either way.
-void WriteLeafGridV2(const Slp& slp, const EvalTables& tables, NtId leaf,
-                     uint32_t q, BundleCodec choice, BundleWriter* w) {
-  if (choice == BundleCodec::kRaw) {
-    WriteLeafGrid(slp, tables, leaf, q, w);
-    return;
-  }
+// streams the non-empty cell positions plus their lengths; the mask
+// payload rides one tagged stream either way.
+void WriteLeafGridV2(const EvalTables& tables, NtId leaf, uint32_t q,
+                     BundleWriter* w) {
   std::vector<uint64_t> lens, masks, positions, sparse_lens;
   lens.reserve(static_cast<size_t>(q) * q);
   for (StateId i = 0; i < q; ++i) {
@@ -491,14 +484,11 @@ void WriteLeafGridV2(const Slp& slp, const EvalTables& tables, NtId leaf,
     }
   }
   BundleWriter dense;
-  WriteTaggedU64s(lens.data(), lens.size(), choice, StreamKind::kGeneral,
-                  &dense);
+  WriteTaggedU64s(lens.data(), lens.size(), &dense);
   BundleWriter sparse;
   sparse.U32(static_cast<uint32_t>(positions.size()));
-  WriteTaggedU64s(positions.data(), positions.size(), choice,
-                  StreamKind::kMonotone, &sparse);
-  WriteTaggedU64s(sparse_lens.data(), sparse_lens.size(), choice,
-                  StreamKind::kGeneral, &sparse);
+  WriteTaggedU64s(positions.data(), positions.size(), &sparse);
+  WriteTaggedU64s(sparse_lens.data(), sparse_lens.size(), &sparse);
   if (sparse.buffer().size() < dense.buffer().size()) {
     w->U8(kSparseCoded);
     w->Bytes(sparse.buffer().data(), sparse.buffer().size());
@@ -506,8 +496,7 @@ void WriteLeafGridV2(const Slp& slp, const EvalTables& tables, NtId leaf,
     w->U8(kDenseCoded);
     w->Bytes(dense.buffer().data(), dense.buffer().size());
   }
-  WriteTaggedU64s(masks.data(), masks.size(), choice, StreamKind::kGeneral,
-                  w);
+  WriteTaggedU64s(masks.data(), masks.size(), w);
 }
 
 Status ReadCellMasks(BundleReader* r, uint32_t len,
@@ -650,10 +639,8 @@ void WriteCounter(const CountTables& counter, BundleWriter* w) {
 }
 
 // v2: the same delta transform, but keys and counts ride two tagged
-// streams (VarintGB or bitpack, whichever wins) instead of interleaved
-// LEB128 — and the final states pack too.
-void WriteCounterV2(const CountTables& counter, BundleCodec choice,
-                    BundleWriter* w) {
+// streams instead of interleaved LEB128 — and the final states pack too.
+void WriteCounterV2(const CountTables& counter, BundleWriter* w) {
   const CountTables::Parts parts = counter.ExportParts();
   w->U64(parts.counts.size());
   std::vector<uint64_t> deltas, counts;
@@ -665,15 +652,12 @@ void WriteCounterV2(const CountTables& counter, BundleCodec choice,
     counts.push_back(count);
     prev_key = key;
   }
-  WriteTaggedU64s(deltas.data(), deltas.size(), choice, StreamKind::kGeneral,
-                  w);
-  WriteTaggedU64s(counts.data(), counts.size(), choice, StreamKind::kGeneral,
-                  w);
+  WriteTaggedU64s(deltas.data(), deltas.size(), w);
+  WriteTaggedU64s(counts.data(), counts.size(), w);
   w->U32(static_cast<uint32_t>(parts.final_states.size()));
   std::vector<uint64_t> finals(parts.final_states.begin(),
                                parts.final_states.end());
-  WriteTaggedU64s(finals.data(), finals.size(), choice, StreamKind::kGeneral,
-                  w);
+  WriteTaggedU64s(finals.data(), finals.size(), w);
   w->U64(parts.total);
   w->U8(parts.overflow ? 1 : 0);
 }
@@ -717,7 +701,7 @@ Result<CountTables::Parts> ReadCounterPartsV2(BundleReader* r) {
   uint64_t num_counts = 0;
   Status st = r->U64(&num_counts);
   if (!st.ok()) return st;
-  // Each entry takes >= 1 stream byte after the densest packing; the codec
+  // Each entry takes >= 1 stream byte after the densest packing; the stream
   // decoders re-check their own exact minimums.
   if (num_counts / 128 > r->remaining()) {
     return Status::Corruption("truncated counter section");
@@ -753,29 +737,26 @@ Result<CountTables::Parts> ReadCounterPartsV2(BundleReader* r) {
   return parts;
 }
 
-}  // namespace
-
 // ----------------------------------------------------------- top level ----
 
-std::string SerializePreparedState(const api_internal::PreparedState& state,
-                                   uint64_t doc_fp, uint64_t query_fp,
-                                   BundleCodec codec) {
+std::string Serialize(const api_internal::PreparedState& state,
+                      uint64_t doc_fp, uint64_t query_fp, bool v1) {
   const Slp& slp = state.prepared.slp();
   const EvalTables& tables = state.prepared.tables();
   const uint32_t q = tables.q();
-  const bool v1 = codec == BundleCodec::kV1;
 
   BundleWriter payload;
   if (v1) {
     WriteGrammar(slp, &payload);
   } else {
-    WriteGrammarV2(slp, codec, &payload);
+    payload.U8(kGrammarCompact);
+    WriteGrammarCompact(slp, &payload);
   }
   payload.U32(q);
   if (v1) {
     WriteMatrixPool(tables, q, &payload);
   } else {
-    WriteMatrixPoolV2(tables, q, codec, &payload);
+    WriteMatrixPoolV2(tables, q, &payload);
   }
   uint32_t num_leaves = 0;
   for (NtId a = 0; a < slp.NumNonTerminals(); ++a) num_leaves += slp.IsLeaf(a);
@@ -783,9 +764,9 @@ std::string SerializePreparedState(const api_internal::PreparedState& state,
   for (NtId a = 0; a < slp.NumNonTerminals(); ++a) {
     if (!slp.IsLeaf(a)) continue;
     if (v1) {
-      WriteLeafGrid(slp, tables, a, q, &payload);
+      WriteLeafGrid(tables, a, q, &payload);
     } else {
-      WriteLeafGridV2(slp, tables, a, q, codec, &payload);
+      WriteLeafGridV2(tables, a, q, &payload);
     }
   }
 
@@ -795,11 +776,23 @@ std::string SerializePreparedState(const api_internal::PreparedState& state,
     if (v1) {
       WriteCounter(*counter, &payload);
     } else {
-      WriteCounterV2(*counter, codec, &payload);
+      WriteCounterV2(*counter, &payload);
     }
   }
   return SealBundle(v1 ? kBundleVersionV1 : kBundleVersion, flags, doc_fp,
                     query_fp, payload.TakeBuffer());
+}
+
+}  // namespace
+
+std::string SerializePreparedState(const api_internal::PreparedState& state,
+                                   uint64_t doc_fp, uint64_t query_fp) {
+  return Serialize(state, doc_fp, query_fp, /*v1=*/false);
+}
+
+std::string SerializePreparedStateV1(const api_internal::PreparedState& state,
+                                     uint64_t doc_fp, uint64_t query_fp) {
+  return Serialize(state, doc_fp, query_fp, /*v1=*/true);
 }
 
 Result<StatePtr> DeserializePreparedState(
@@ -833,7 +826,8 @@ Result<StatePtr> DeserializePreparedState(
   const uint32_t n = slp->NumNonTerminals();
   std::vector<BoolMatrix> pool;
   std::vector<uint32_t> u_idx, w_idx;
-  st = ReadMatrixPool(&reader, version, n, q, &pool, &u_idx, &w_idx);
+  st = ReadMatrixPool(&reader, version, n, q, header->payload_size, &pool,
+                      &u_idx, &w_idx);
   if (!st.ok()) return st;
   uint32_t num_leaves = 0;
   st = reader.U32(&num_leaves);
@@ -918,10 +912,8 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
 
 Status WritePreparedBundleFile(const std::string& path,
                                const api_internal::PreparedState& state,
-                               uint64_t doc_fp, uint64_t query_fp,
-                               BundleCodec codec) {
-  return WriteFileAtomic(path,
-                         SerializePreparedState(state, doc_fp, query_fp, codec));
+                               uint64_t doc_fp, uint64_t query_fp) {
+  return WriteFileAtomic(path, SerializePreparedState(state, doc_fp, query_fp));
 }
 
 Result<StatePtr> LoadPreparedBundleFile(

@@ -19,13 +19,13 @@
 //   [counter]   (optional, header flag) the CountTables snapshot: key-sorted
 //               packed-triple counts, final states, total, overflow bit.
 //
-// That is the v1 layout, still written under BundleCodec::kV1 and readable
-// forever. Format v2 (the default) keeps the same section order but routes
-// every integer stream through the codec layer (src/storage/codec/) behind
-// per-section tags: a compact delta-varint grammar, dense-coded /
-// sparse-coded matrices and grids (Elias-Fano positions, bitpacked or
-// VarintGB payloads), and packed counter streams. The reader always follows
-// the tags in the file; docs/STORAGE_CODECS.md has the byte-level map.
+// That is the v1 layout, readable forever. Format v2 (what every writer
+// but the frozen v1 reference emits) keeps the same section order but
+// routes every integer stream through the bitpacked tagged streams of
+// src/storage/codec/: a compact delta-varint grammar, dense-coded /
+// sparse-coded matrices and grids, and packed counter streams. The reader
+// always follows the tags in the file; docs/STORAGE_CODECS.md has the
+// byte-level map.
 //
 // Deserialization is strictly bounds-checked (see bundle_format.h) and
 // returns Status errors — kCorruption for damaged input, kInvalidArgument
@@ -42,7 +42,6 @@
 #include <string>
 
 #include "api/internal.h"
-#include "slpspan/bundle_codec.h"
 #include "util/status.h"
 
 namespace slpspan {
@@ -51,12 +50,16 @@ namespace storage {
 using StatePtr = std::shared_ptr<const api_internal::PreparedState>;
 
 /// Serializes `state` (grammar + tables + counter-if-materialized) into a
-/// sealed bundle image. `codec` picks the section encoding: kV1 reproduces
-/// the legacy format byte-for-byte, everything else writes format v2 with
-/// the requested codec preference (kAuto: smallest per stream).
+/// sealed format-v2 bundle image.
 std::string SerializePreparedState(const api_internal::PreparedState& state,
-                                   uint64_t doc_fp, uint64_t query_fp,
-                                   BundleCodec codec = BundleCodec::kAuto);
+                                   uint64_t doc_fp, uint64_t query_fp);
+
+/// The frozen format-v1 writer, byte-for-byte the legacy layout. Not
+/// reachable from the public API, the CLI or the spill tier: it is the
+/// reference that compression checks (bench E17, storage tests) measure
+/// format v2 against.
+std::string SerializePreparedStateV1(const api_internal::PreparedState& state,
+                                     uint64_t doc_fp, uint64_t query_fp);
 
 /// Deserializes a bundle image. The expected fingerprints come from the
 /// (document, query) pair the caller wants to serve; a mismatch is
@@ -80,8 +83,7 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes);
 /// Atomic bundle file write: SerializePreparedState + WriteFileAtomic.
 Status WritePreparedBundleFile(const std::string& path,
                                const api_internal::PreparedState& state,
-                               uint64_t doc_fp, uint64_t query_fp,
-                               BundleCodec codec = BundleCodec::kAuto);
+                               uint64_t doc_fp, uint64_t query_fp);
 
 /// mmap-backed bundle file read (see mmap_file.h) + DeserializePreparedState.
 Result<StatePtr> LoadPreparedBundleFile(

@@ -5,7 +5,7 @@
 // LRU reclamation: when the directory exceeds the budget, the
 // least-recently-touched bundles are deleted. The budget is charged with
 // each bundle's *encoded* on-disk size (image.size() as serialized, not
-// the in-RAM table footprint), so the v2 codec layer
+// the in-RAM table footprint), so the bitpacked v2 format
 // (docs/STORAGE_CODECS.md) directly admits more bundles under the same
 // budget. Opening a store scans the
 // directory, so spilled preparation work survives process restarts — and

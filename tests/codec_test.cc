@@ -1,15 +1,17 @@
-// Property and fuzz tests for the bundle codec layer (src/storage/codec/):
-// bit-identical round-trips per codec over adversarially shaped inputs,
-// encoded-size sanity, scalar-vs-SIMD differential unpacking, and a
+// Property and fuzz tests for the bundle stream layer (src/storage/codec/):
+// bit-identical round-trips through the bitpack writer over adversarially
+// shaped inputs and every bit width, the raw reader that older bundles
+// still carry, encoded-size sanity, rejection of the retired tags, and a
 // structured decoder fuzz battery (every truncation prefix, single byte
-// flips, seeded garbage) asserting the bounds-checking contract — corrupt
-// input returns Status, never crashes, hangs or reads out of bounds.
+// flips, seeded garbage) over both readers asserting the bounds-checking
+// contract — corrupt input returns Status, never crashes, hangs or reads
+// out of bounds.
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "storage/codec/bitpack.h"
 #include "storage/codec/codec.h"
 
 namespace slpspan {
@@ -17,54 +19,58 @@ namespace storage {
 namespace codec {
 namespace {
 
-std::string EncodeWith(const Codec& c, const std::vector<uint64_t>& values) {
+std::string Encode(const std::vector<uint64_t>& values) {
   BundleWriter w;
-  c.Encode(values.data(), values.size(), &w);
+  WriteTaggedU64s(values.data(), values.size(), &w);
   return w.buffer();
 }
 
-Result<std::vector<uint64_t>> DecodeWith(const Codec& c,
-                                         const std::string& bytes,
-                                         size_t count) {
-  BundleReader r(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
-  std::vector<uint64_t> out;
-  Status st = c.Decode(&r, count, &out);
-  if (!st.ok()) return st;
-  return out;
+// A raw (tag 0) stream as earlier writers produced it.
+std::string EncodeRaw(const std::vector<uint64_t>& values) {
+  BundleWriter w;
+  w.U8(kRawTag);
+  for (const uint64_t v : values) w.U64(v);
+  return w.buffer();
 }
 
-const Codec* const kAllCodecs[] = {&RawCodec(), &VarintGBCodec(),
-                                   &BitPackCodec()};
+Status Decode(const std::string& bytes, size_t count,
+              std::vector<uint64_t>* out, size_t* left = nullptr) {
+  BundleReader r(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+  Status st = ReadTaggedU64s(&r, count, out);
+  if (left != nullptr) *left = r.remaining();
+  return st;
+}
 
-// Elias-Fano requires monotone input; keep it on a separate axis.
-const Codec* const kGeneralAndEf[] = {&RawCodec(), &VarintGBCodec(),
-                                      &BitPackCodec(), &EliasFanoCodec()};
-
-void ExpectRoundTrip(const Codec& c, const std::vector<uint64_t>& values) {
-  const std::string bytes = EncodeWith(c, values);
-  Result<std::vector<uint64_t>> back = DecodeWith(c, bytes, values.size());
-  ASSERT_TRUE(back.ok()) << c.name() << ": " << back.status().message();
-  EXPECT_EQ(values, *back) << c.name();
+void ExpectRoundTrip(const std::string& bytes,
+                     const std::vector<uint64_t>& values) {
+  std::vector<uint64_t> back;
+  size_t left = 0;
+  const Status st = Decode(bytes, values.size(), &back, &left);
+  ASSERT_TRUE(st.ok()) << st.message();
+  EXPECT_EQ(values, back);
   // The decoder must consume exactly the bytes the encoder produced —
   // anything less would desynchronize the section that follows.
-  BundleReader r(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
-  std::vector<uint64_t> out;
-  ASSERT_TRUE(c.Decode(&r, values.size(), &out).ok());
-  EXPECT_TRUE(r.AtEnd()) << c.name() << " left " << r.remaining() << " bytes";
+  EXPECT_EQ(0u, left);
+}
+
+void ExpectRoundTrip(const std::vector<uint64_t>& values) {
+  const std::string bytes = Encode(values);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(kBitPackTag, static_cast<uint8_t>(bytes[0]));
+  ExpectRoundTrip(bytes, values);
+  ExpectRoundTrip(EncodeRaw(values), values);
 }
 
 // ------------------------------------------------------ round-trip axes ----
 
-TEST(CodecRoundTrip, EmptyStream) {
-  for (const Codec* c : kGeneralAndEf) ExpectRoundTrip(*c, {});
-}
+TEST(CodecRoundTrip, EmptyStream) { ExpectRoundTrip({}); }
 
 TEST(CodecRoundTrip, SingleValues) {
   for (const uint64_t v :
        {uint64_t{0}, uint64_t{1}, uint64_t{127}, uint64_t{128},
         uint64_t{0xFFFF}, uint64_t{0x10000}, uint64_t{0xFFFFFFFFull},
         uint64_t{0x100000000ull}, ~uint64_t{0}}) {
-    for (const Codec* c : kGeneralAndEf) ExpectRoundTrip(*c, {v});
+    ExpectRoundTrip({v});
   }
 }
 
@@ -72,41 +78,38 @@ TEST(CodecRoundTrip, ConstantRuns) {
   for (const size_t len : {size_t{2}, size_t{127}, size_t{128}, size_t{129},
                            size_t{256}, size_t{1000}}) {
     for (const uint64_t v : {uint64_t{0}, uint64_t{42}, ~uint64_t{0}}) {
-      const std::vector<uint64_t> values(len, v);
-      for (const Codec* c : kGeneralAndEf) ExpectRoundTrip(*c, values);
+      ExpectRoundTrip(std::vector<uint64_t>(len, v));
     }
   }
 }
 
 TEST(CodecRoundTrip, MaxU64Boundaries) {
-  // All length classes adjacent to each other, ending at the u64 max —
-  // exercises the VarintGB class thresholds and bitpack width 64.
+  // Every power-of-two boundary adjacent to the next, ending at the u64
+  // max — exercises bitpack width 64 and the wide shift register.
   std::vector<uint64_t> values;
   for (unsigned b = 0; b < 64; ++b) {
     values.push_back((uint64_t{1} << b) - 1);
     values.push_back(uint64_t{1} << b);
   }
   values.push_back(~uint64_t{0});
-  for (const Codec* c : kAllCodecs) ExpectRoundTrip(*c, values);
-  std::sort(values.begin(), values.end());
-  ExpectRoundTrip(EliasFanoCodec(), values);
+  ExpectRoundTrip(values);
 }
 
 TEST(CodecRoundTrip, AdversarialDeltas) {
   // Alternating tiny/huge values: the worst case for width-per-block
-  // decisions and for delta-style assumptions.
+  // decisions.
   std::vector<uint64_t> values;
   for (int i = 0; i < 500; ++i) {
     values.push_back(i % 2 == 0 ? static_cast<uint64_t>(i)
                                 : ~uint64_t{0} - static_cast<uint64_t>(i));
   }
-  for (const Codec* c : kAllCodecs) ExpectRoundTrip(*c, values);
+  ExpectRoundTrip(values);
 }
 
 TEST(CodecRoundTrip, RandomLengthsAcrossBlockBoundaries) {
   std::mt19937_64 rng(20260808);
   for (int round = 0; round < 200; ++round) {
-    // Lengths clustered around the bitpack/VarintGB group boundaries.
+    // Lengths clustered around the 128-value block boundaries.
     const size_t base = (round % 4) * 128;
     const size_t len = base + rng() % 10;
     std::vector<uint64_t> values(len);
@@ -114,119 +117,79 @@ TEST(CodecRoundTrip, RandomLengthsAcrossBlockBoundaries) {
     const uint64_t mask =
         width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
     for (uint64_t& v : values) v = rng() & mask;
-    for (const Codec* c : kAllCodecs) ExpectRoundTrip(*c, values);
-    std::sort(values.begin(), values.end());
-    ExpectRoundTrip(EliasFanoCodec(), values);
+    ExpectRoundTrip(values);
   }
 }
 
-TEST(CodecRoundTrip, EliasFanoSparseAndDensePositions) {
-  std::mt19937_64 rng(7);
-  for (const uint64_t universe :
-       {uint64_t{100}, uint64_t{100000}, uint64_t{1} << 40}) {
-    for (const size_t count : {size_t{1}, size_t{10}, size_t{99}}) {
+TEST(CodecRoundTrip, EveryWidthAndTailLength) {
+  // Each width takes one of the unpack paths — zero, the byte-aligned
+  // widening loads (8/16/32), the 64-bit refill loop, the wide shift
+  // register (58..63) and the straight copy (64) — and the counts hit the
+  // loop's byte-at-a-time tail.
+  std::mt19937_64 rng(19);
+  for (unsigned width = 0; width <= 64; ++width) {
+    const uint64_t mask = width == 0    ? 0
+                          : width >= 64 ? ~uint64_t{0}
+                                        : (uint64_t{1} << width) - 1;
+    for (const size_t count : {size_t{1}, size_t{3}, size_t{4}, size_t{7},
+                               size_t{128}, size_t{130}}) {
       std::vector<uint64_t> values(count);
-      for (uint64_t& v : values) v = rng() % universe;
-      std::sort(values.begin(), values.end());
-      ExpectRoundTrip(EliasFanoCodec(), values);
+      for (uint64_t& v : values) v = rng() & mask;
+      // Pin every block to exactly `width` bits.
+      for (size_t i = 0; width > 0 && i < count; i += 128) {
+        values[i] |= uint64_t{1} << (width - 1);
+      }
+      ExpectRoundTrip(values);
+      // One width byte per 128-value block, then the packed bits.
+      const size_t blocks = (count + 127) / 128;
+      EXPECT_EQ(1 + blocks + (std::min<size_t>(count, 128) * width + 7) / 8 +
+                    (count > 128 ? ((count - 128) * width + 7) / 8 : 0),
+                Encode(values).size())
+          << "width " << width << " count " << count;
     }
   }
-  // Repeated positions (non-strict monotonicity) must survive too.
-  ExpectRoundTrip(EliasFanoCodec(), {5, 5, 5, 9, 9, 1000});
 }
 
 // --------------------------------------------------------- encoded size ----
 
 TEST(CodecSize, SmallValuesBeatRawSubstantially) {
-  // 1000 values < 256: VarintGB spends ~1.25 bytes each, bitpack ~1 byte;
-  // raw spends 8. The whole point of the layer — assert it, with slack.
+  // 1000 values < 256: bitpack spends ~1 byte each, raw spends 8.
   std::vector<uint64_t> values(1000);
   std::mt19937_64 rng(11);
   for (uint64_t& v : values) v = rng() % 256;
-  const size_t raw = EncodeWith(RawCodec(), values).size();
-  EXPECT_EQ(raw, values.size() * 8);
-  EXPECT_LE(EncodeWith(VarintGBCodec(), values).size(), raw / 4);
-  EXPECT_LE(EncodeWith(BitPackCodec(), values).size(), raw / 4);
-}
-
-TEST(CodecSize, EliasFanoNearInformationBound) {
-  // 1000 sorted positions in a 2^20 universe: ~2 + log2(u/n) = 12 bits per
-  // value; allow 2x headroom vs the 64 raw would pay.
-  std::vector<uint64_t> values(1000);
-  std::mt19937_64 rng(13);
-  for (uint64_t& v : values) v = rng() % (uint64_t{1} << 20);
-  std::sort(values.begin(), values.end());
-  const size_t ef = EncodeWith(EliasFanoCodec(), values).size();
-  EXPECT_LE(ef, values.size() * 3);  // <= 24 bits/value
+  EXPECT_EQ(1 + values.size() * 8, EncodeRaw(values).size());
+  EXPECT_LE(Encode(values).size(), values.size() * 8 / 4);
 }
 
 TEST(CodecSize, ZeroRunsCollapse) {
+  // The tag, then one width-0 byte per 128-value block.
   const std::vector<uint64_t> zeros(1024, 0);
-  // Bitpack: one width-0 byte per 128-block.
-  EXPECT_EQ(EncodeWith(BitPackCodec(), zeros).size(), zeros.size() / 128);
+  EXPECT_EQ(1 + zeros.size() / 128, Encode(zeros).size());
 }
 
-TEST(CodecSize, TaggedAutoNeverBeatenByAnyFixedChoice) {
-  std::mt19937_64 rng(17);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<uint64_t> values(rng() % 300);
-    const uint64_t mask = (uint64_t{1} << (1 + rng() % 63)) - 1;
-    for (uint64_t& v : values) v = rng() & mask;
-    BundleWriter auto_w;
-    WriteTaggedU64s(values.data(), values.size(), BundleCodec::kAuto,
-                    StreamKind::kGeneral, &auto_w);
-    for (const BundleCodec fixed : {BundleCodec::kRaw, BundleCodec::kVarintGB,
-                                    BundleCodec::kBitPack}) {
-      BundleWriter w;
-      WriteTaggedU64s(values.data(), values.size(), fixed,
-                      StreamKind::kGeneral, &w);
-      EXPECT_LE(auto_w.buffer().size(), w.buffer().size());
+// ---------------------------------------------------------- retired tags ----
+
+TEST(CodecTags, RetiredVarintGBAndEliasFanoTagsAreCorruption) {
+  // Tag 1 was VarintGB and tag 3 Elias-Fano. A payload that would have
+  // been valid under them (or under any reading) must still be refused.
+  for (const uint8_t tag : {uint8_t{1}, uint8_t{3}}) {
+    for (const size_t count : {size_t{0}, size_t{1}, size_t{8}}) {
+      std::string bytes(1, static_cast<char>(tag));
+      bytes += std::string(80, '\0');
+      std::vector<uint64_t> out;
+      const Status st = Decode(bytes, count, &out);
+      EXPECT_EQ(StatusCode::kCorruption, st.code())
+          << "tag " << int{tag} << " count " << count;
     }
-    // And the auto choice still round-trips.
-    BundleReader r(reinterpret_cast<const uint8_t*>(auto_w.buffer().data()),
-                   auto_w.buffer().size());
-    std::vector<uint64_t> back;
-    ASSERT_TRUE(ReadTaggedU64s(&r, values.size(), &back).ok());
-    EXPECT_EQ(values, back);
   }
 }
 
-// ------------------------------------------------- dispatch differential ----
-
-TEST(CodecDispatch, ScalarAndActiveOpsAgreeOnEveryWidth) {
-  // The active ops may be AVX2 (CI runs the suite under SLPSPAN_KERNEL for
-  // both); regardless of dispatch, unpack must match the scalar reference
-  // bit-for-bit on every width including the byte-aligned fast paths.
-  std::mt19937_64 rng(19);
-  for (unsigned width = 0; width <= 64; ++width) {
-    const uint64_t mask =
-        width == 0 ? 0 : width >= 64 ? ~uint64_t{0}
-                                     : (uint64_t{1} << width) - 1;
-    for (const size_t count : {size_t{1}, size_t{3}, size_t{4}, size_t{7},
-                               size_t{128}, size_t{130}}) {
-      std::vector<uint64_t> values(count);
-      for (uint64_t& v : values) v = rng() & mask;
-      const std::string bytes = EncodeWith(BitPackCodec(), values);
-      // Strip the per-block width bytes by decoding through the codec with
-      // each ops table: decode once normally (active ops) ...
-      Result<std::vector<uint64_t>> active =
-          DecodeWith(BitPackCodec(), bytes, count);
-      ASSERT_TRUE(active.ok());
-      EXPECT_EQ(values, *active) << "width " << width << " count " << count
-                                 << " via " << ActiveBitPackOps().name;
-      // ... and once through the scalar table on the raw packed payload.
-      // The block header stores the *actual* width (the block's max
-      // bit_width, possibly narrower than the values' nominal range).
-      const unsigned stored_width = static_cast<uint8_t>(bytes[0]);
-      ASSERT_LE(stored_width, width);
-      std::vector<uint64_t> scalar(count);
-      ScalarBitPackOps().unpack(
-          reinterpret_cast<const uint8_t*>(bytes.data()) + 1, stored_width,
-          std::min<size_t>(count, 128), scalar.data());
-      for (size_t i = 0; i < std::min<size_t>(count, 128); ++i) {
-        EXPECT_EQ(values[i], scalar[i]) << "width " << width << " i " << i;
-      }
-    }
+TEST(CodecTags, UnknownTagsRejected) {
+  for (int tag = 4; tag < 256; ++tag) {
+    std::string bytes(1, static_cast<char>(tag));
+    bytes += std::string(64, '\0');
+    std::vector<uint64_t> out;
+    EXPECT_FALSE(Decode(bytes, 8, &out).ok()) << "tag " << tag;
   }
 }
 
@@ -236,36 +199,29 @@ TEST(CodecDispatch, ScalarAndActiveOpsAgreeOnEveryWidth) {
 // succeeds on mutated bytes the result must still have the expected count
 // (success-with-wrong-length would desynchronize the enclosing section).
 void DecodeMustSurvive(const std::string& bytes, size_t count) {
-  for (const Codec* c : kGeneralAndEf) {
-    BundleReader r(reinterpret_cast<const uint8_t*>(bytes.data()),
-                   bytes.size());
-    std::vector<uint64_t> out;
-    const Status st = c->Decode(&r, count, &out);
-    if (st.ok()) EXPECT_EQ(out.size(), count) << c->name();
-  }
-  BundleReader r(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
   std::vector<uint64_t> out;
-  const Status st = ReadTaggedU64s(&r, count, &out);
-  if (st.ok()) EXPECT_EQ(out.size(), count);
+  if (Decode(bytes, count, &out).ok()) {
+    EXPECT_EQ(count, out.size());
+  }
+}
+
+// One encoding per reader, over the same values.
+std::vector<std::string> EncodingsOf(const std::vector<uint64_t>& values) {
+  return {Encode(values), EncodeRaw(values)};
 }
 
 TEST(CodecFuzz, EveryTruncationPrefixFailsCleanly) {
   std::mt19937_64 rng(20260808);
   std::vector<uint64_t> values(200);
   for (uint64_t& v : values) v = rng() % 100000;
-  std::vector<uint64_t> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  for (const Codec* c : kGeneralAndEf) {
-    const std::string bytes =
-        EncodeWith(*c, c == &EliasFanoCodec() ? sorted : values);
+  for (const std::string& bytes : EncodingsOf(values)) {
     for (size_t cut = 0; cut < bytes.size(); ++cut) {
-      BundleReader r(reinterpret_cast<const uint8_t*>(bytes.data()), cut);
       std::vector<uint64_t> out;
       // A strict prefix can never satisfy a decoder that consumed the whole
       // encoding: every truncation must be detected.
-      EXPECT_FALSE(c->Decode(&r, values.size(), &out).ok())
-          << c->name() << " accepted a " << cut << "-byte prefix of "
-          << bytes.size();
+      EXPECT_FALSE(Decode(bytes.substr(0, cut), values.size(), &out).ok())
+          << "tag " << int{static_cast<uint8_t>(bytes[0])} << " accepted a "
+          << cut << "-byte prefix of " << bytes.size();
     }
   }
 }
@@ -274,9 +230,7 @@ TEST(CodecFuzz, SingleByteFlipsNeverCrash) {
   std::mt19937_64 rng(1);
   std::vector<uint64_t> values(150);
   for (uint64_t& v : values) v = rng() % 4096;
-  std::sort(values.begin(), values.end());
-  for (const Codec* c : kGeneralAndEf) {
-    const std::string bytes = EncodeWith(*c, values);
+  for (const std::string& bytes : EncodingsOf(values)) {
     for (size_t pos = 0; pos < bytes.size(); ++pos) {
       for (const uint8_t flip : {0x01, 0x80, 0xFF}) {
         std::string mutated = bytes;
@@ -288,28 +242,22 @@ TEST(CodecFuzz, SingleByteFlipsNeverCrash) {
 }
 
 TEST(CodecFuzz, SeededGarbageNeverCrashesAnyDecoder) {
-  // frame_test.cc's garbage-fuzz idiom over the codec decoders: arbitrary
-  // bytes, arbitrary requested counts (including adversarially huge ones
-  // aimed at size-computation overflow).
+  // frame_test.cc's garbage-fuzz idiom over the stream readers: arbitrary
+  // bytes behind each accepted tag (and behind an arbitrary first byte),
+  // arbitrary requested counts (including adversarially huge ones aimed at
+  // size-computation overflow).
   std::mt19937_64 rng(20260808);
   std::string buf;
   for (int round = 0; round < 4000; ++round) {
-    buf.resize(rng() % 256);
+    buf.resize(1 + rng() % 256);
     for (char& b : buf) b = static_cast<char>(rng());
     const size_t counts[] = {0, 1, rng() % 1000, size_t{1} << 20,
                              ~size_t{0} / 2, ~size_t{0}};
-    for (const size_t count : counts) DecodeMustSurvive(buf, count);
-  }
-}
-
-TEST(CodecFuzz, TaggedStreamUnknownTagRejected) {
-  for (int tag = 4; tag < 256; ++tag) {
-    std::string bytes(1, static_cast<char>(tag));
-    bytes += std::string(64, '\0');
-    BundleReader r(reinterpret_cast<const uint8_t*>(bytes.data()),
-                   bytes.size());
-    std::vector<uint64_t> out;
-    EXPECT_FALSE(ReadTaggedU64s(&r, 8, &out).ok()) << "tag " << tag;
+    for (const uint8_t tag :
+         {kRawTag, kBitPackTag, static_cast<uint8_t>(buf[0])}) {
+      buf[0] = static_cast<char>(tag);
+      for (const size_t count : counts) DecodeMustSurvive(buf, count);
+    }
   }
 }
 

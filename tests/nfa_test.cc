@@ -151,7 +151,7 @@ TEST(ProjectMarkersToEps, ErasesMarkerContent) {
 TEST(Determinize, EquivalentOnSampleWords) {
   const Spanner sp = testing_util::MakeFigure2Spanner();
   const Nfa& norm = sp.normalized();
-  const Nfa det = Determinize(norm);
+  const Nfa det = Determinize(norm).value();
   EXPECT_TRUE(det.IsDeterministic());
 
   SymbolTable table;
@@ -191,12 +191,27 @@ TEST(Determinize, CollapsesNondeterminism) {
   nfa.SetAccepting(s1);
   nfa.SetAccepting(s2);
   EXPECT_FALSE(nfa.IsDeterministic());
-  const Nfa det = Determinize(nfa);
+  const Nfa det = Determinize(nfa).value();
   EXPECT_TRUE(det.IsDeterministic());
   EXPECT_TRUE(AcceptsSymbols(det, {'a'}, nullptr));
   EXPECT_TRUE(AcceptsSymbols(det, {'a', 'b'}, nullptr));
   EXPECT_TRUE(AcceptsSymbols(det, {'a', 'c'}, nullptr));
   EXPECT_FALSE(AcceptsSymbols(det, {'a', 'b', 'c'}, nullptr));
+}
+
+TEST(Determinize, StateCapIsAStatusNotAnAbort) {
+  Nfa nfa;  // the same two-branch automaton: its DFA has 4 states
+  const StateId s1 = nfa.AddState(), s2 = nfa.AddState();
+  nfa.AddCharArc(0, 'a', s1);
+  nfa.AddCharArc(0, 'a', s2);
+  nfa.AddCharArc(s1, 'b', s1);
+  nfa.AddCharArc(s2, 'c', s2);
+  nfa.SetAccepting(s1);
+  nfa.SetAccepting(s2);
+  EXPECT_TRUE(Determinize(nfa, 4).ok());
+  const Result<Nfa> capped = Determinize(nfa, 3);
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(StatusCode::kResourceExhausted, capped.status().code());
 }
 
 TEST(Spanner, FromAutomatonRejectsUndeclaredVariables) {

@@ -179,6 +179,15 @@ TEST(Robustness, PathologicalAlternationFanout) {
   EXPECT_TRUE(ev.ComputeAll(SlpFromString("b").value()).empty());
 }
 
+TEST(Robustness, DeterminizationBlowUpIsAStatus) {
+  // 19 dots after the 'a': subset construction passes its 2^20-state cap.
+  // This 25-byte pattern used to abort the process from Query::Compile.
+  const Result<Query> query = Query::Compile("x{.*a...................}", "ab");
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(StatusCode::kResourceExhausted, query.status().code())
+      << query.status().ToString();
+}
+
 TEST(Robustness, RepeatedPreparationIsDeterministic) {
   const Spanner sp = testing_util::MakeFigure2Spanner();
   SpannerEvaluator ev(sp);

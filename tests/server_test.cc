@@ -162,6 +162,36 @@ TEST(ServerTest, RequestErrorsKeepConnectionUsable) {
   server.Stop();
 }
 
+TEST(ServerTest, DeterminizationBlowUpGetsErrorAndServerAnswersNext) {
+  const std::string root = MakeDocumentRoot("blowup");
+  Server server(TestOptions(root));
+  ASSERT_TRUE(server.Start().ok());
+  Client client = MustConnect(server);
+
+  // 25 bytes of pattern whose subset construction passes 2^20 states: the
+  // request fails with an error frame instead of taking the server down.
+  Result<CallResult> blowup =
+      client.Call(WireOp::kCount, "corpus", "x{.*a...................}");
+  ASSERT_TRUE(blowup.ok()) << blowup.status().message();
+  EXPECT_FALSE(blowup->ok());
+  EXPECT_EQ(static_cast<uint8_t>(StatusCode::kResourceExhausted),
+            blowup->code)
+      << blowup->message;
+
+  // The same connection, and a new one, are still answered.
+  Result<CallResult> good = client.Call(WireOp::kCount, "corpus", ".*x{ab}.*");
+  ASSERT_TRUE(good.ok());
+  ASSERT_TRUE(good->ok());
+  EXPECT_EQ(3000u, good->count_value);
+  Client second = MustConnect(server);
+  Result<CallResult> again =
+      second.Call(WireOp::kCheck, "corpus", ".*x{ab}.*");
+  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE(again->ok());
+  EXPECT_TRUE(again->nonempty);
+  server.Stop();
+}
+
 // ---------------------------------------------------- protocol violations ----
 
 /// Reads frames off a raw blocking socket until the peer closes, returning

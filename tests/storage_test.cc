@@ -4,7 +4,11 @@
 // mismatched bundles (Status, never a crash — this suite runs under
 // ASan+UBSan in CI), the disk spill tier (write-behind on eviction, disk
 // hits on later misses, restart survival, LRU reclamation, pre-warming),
-// size-aware admission and CountTables entry re-charging.
+// size-aware admission and CountTables entry re-charging, plus the v2
+// stream layer seen whole: v1/v2 parity, retired stream tags and forged
+// matrix pools.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -539,28 +543,37 @@ TEST(SpillIndex, CorruptOrStaleIndexFallsBackToStatWalk) {
   EXPECT_FALSE((*stale)->Contains(8, 70));
 }
 
-// ----------------------------------------------------------------- codecs ----
+// ------------------------------------------------------- bundle formats ----
 
-constexpr BundleCodec kAllCodecs[] = {
-    BundleCodec::kV1,      BundleCodec::kRaw,       BundleCodec::kVarintGB,
-    BundleCodec::kBitPack, BundleCodec::kEliasFano, BundleCodec::kAuto};
-
-const char* CodecName(BundleCodec c) {
-  switch (c) {
-    case BundleCodec::kV1: return "v1";
-    case BundleCodec::kRaw: return "raw";
-    case BundleCodec::kVarintGB: return "varintgb";
-    case BundleCodec::kBitPack: return "bitpack";
-    case BundleCodec::kEliasFano: return "eliasfano";
-    case BundleCodec::kAuto: return "auto";
-  }
-  return "?";
+// The frozen v1 writer is internal (no public knob reaches it): serialize
+// the cached state directly, after a Count so the counting tables ride
+// along exactly as SavePrepared's do.
+std::string SerializeV1(const DocumentPtr& doc, const Query& query) {
+  (void)Engine(query, doc).Count();
+  return storage::SerializePreparedStateV1(*doc->PreparedFor(query),
+                                           doc->fingerprint(),
+                                           query.fingerprint());
 }
 
-// Codec axis on the round-trip property: every codec choice must load back
-// to behavior identical to the in-memory preparation, and the default
-// (kAuto) must write strictly smaller bundles than the legacy v1 format.
-TEST(BundleCodecs, EveryCodecChoiceRoundTripsIdentically) {
+/// Patches payload_size (offset 32) and checksum (offset 40) so the header
+/// admits a mutated payload and the section decoders see it (the checksum
+/// would otherwise reject everything first).
+void Reseal(std::string* img) {
+  const uint64_t n = img->size() - storage::kBundleHeaderSize;
+  const uint64_t ck = storage::Checksum64(
+      reinterpret_cast<const uint8_t*>(img->data()) +
+          storage::kBundleHeaderSize,
+      static_cast<size_t>(n));
+  for (int i = 0; i < 8; ++i) {
+    (*img)[32 + i] = static_cast<char>(n >> (8 * i));
+    (*img)[40 + i] = static_cast<char>(ck >> (8 * i));
+  }
+}
+
+// Both formats must load back to behavior identical to the in-memory
+// preparation, and v2 (what SavePrepared writes) must be strictly smaller
+// than the legacy v1 format.
+TEST(BundleFormats, V1AndV2RoundTripIdentically) {
   const Query query = MustCompile(".*x{a}y{b?cc*}.*", "abc");
   Rng rng(20260808);
   const std::string text = RandomText(&rng, 200, 400);
@@ -568,61 +581,61 @@ TEST(BundleCodecs, EveryCodecChoiceRoundTripsIdentically) {
   const Engine fresh(query, original);
   const uint64_t count = fresh.Count()->value;
 
-  uint64_t v1_bytes = 0, auto_bytes = 0;
-  for (const BundleCodec codec : kAllCodecs) {
-    const std::string path =
-        TempPath(std::string("codec_axis_") + CodecName(codec) + ".prep");
-    ASSERT_TRUE(original->SavePrepared(query, path, nullptr, codec).ok())
-        << CodecName(codec);
-    const uint64_t bytes = fs::file_size(path);
-    if (codec == BundleCodec::kV1) v1_bytes = bytes;
-    if (codec == BundleCodec::kAuto) auto_bytes = bytes;
-
+  const std::string v2_path = TempPath("format_v2.prep");
+  const std::string v1_path = TempPath("format_v1.prep");
+  ASSERT_TRUE(original->SavePrepared(query, v2_path).ok());
+  WriteFile(v1_path, SerializeV1(original, query));
+  EXPECT_EQ(2, ReadFile(v2_path)[8]);
+  EXPECT_EQ(1, ReadFile(v1_path)[8]);
+  for (const std::string& path : {v1_path, v2_path}) {
     const DocumentPtr reloaded = Document::FromSlp(original->slp());
-    ASSERT_TRUE(reloaded->LoadPrepared(query, path).ok()) << CodecName(codec);
+    ASSERT_TRUE(reloaded->LoadPrepared(query, path).ok()) << path;
     const Engine warm(query, reloaded);
-    EXPECT_EQ(fresh.IsNonEmpty(), warm.IsNonEmpty()) << CodecName(codec);
-    EXPECT_EQ(count, warm.Count()->value) << CodecName(codec);
+    EXPECT_EQ(fresh.IsNonEmpty(), warm.IsNonEmpty()) << path;
+    EXPECT_EQ(count, warm.Count()->value) << path;
     ExpectSameTupleSet(fresh.ExtractAll(), warm.ExtractAll());
     if (count > 0) {
-      EXPECT_EQ(*fresh.At(count - 1), *warm.At(count - 1)) << CodecName(codec);
+      EXPECT_EQ(*fresh.At(count - 1), *warm.At(count - 1)) << path;
     }
-    EXPECT_EQ(0u, reloaded->cache_stats().misses) << CodecName(codec);
-    std::remove(path.c_str());
+    EXPECT_EQ(0u, reloaded->cache_stats().misses) << path;
   }
-  ASSERT_GT(v1_bytes, 0u);
-  ASSERT_GT(auto_bytes, 0u);
-  EXPECT_LT(auto_bytes, v1_bytes) << "compression must not regress";
+  EXPECT_LT(fs::file_size(v2_path), fs::file_size(v1_path))
+      << "compression must not regress";
+  std::remove(v1_path.c_str());
+  std::remove(v2_path.c_str());
 }
 
-// Save -> Load -> Save must reproduce the file byte-for-byte under every
-// codec: the loaded state carries exactly the information the bundle did,
-// and every writer is deterministic.
-TEST(BundleCodecs, ReserializeIsBitIdenticalPerCodec) {
+// Save -> Load -> Save must reproduce the file byte-for-byte in both
+// formats: the loaded state carries exactly the information the bundle
+// did, and both writers are deterministic.
+TEST(BundleFormats, ReserializeIsBitIdentical) {
   const Query query = MustCompile(".*x{a}y{b?cc*}.*", "abc");
   const DocumentPtr original =
       *Document::FromText("abccaabccaabccabbacbacabbacc");
-  for (const BundleCodec codec : kAllCodecs) {
-    const std::string path1 = TempPath("bitident1.prep");
-    const std::string path2 = TempPath("bitident2.prep");
-    ASSERT_TRUE(original->SavePrepared(query, path1, nullptr, codec).ok());
-    const DocumentPtr reloaded = Document::FromSlp(original->slp());
-    ASSERT_TRUE(reloaded->LoadPrepared(query, path1).ok());
-    ASSERT_TRUE(reloaded->SavePrepared(query, path2, nullptr, codec).ok());
-    EXPECT_EQ(ReadFile(path1), ReadFile(path2)) << CodecName(codec);
-    std::remove(path1.c_str());
-    std::remove(path2.c_str());
-  }
+  const std::string path1 = TempPath("bitident1.prep");
+  const std::string path2 = TempPath("bitident2.prep");
+  ASSERT_TRUE(original->SavePrepared(query, path1).ok());
+  const DocumentPtr reloaded = Document::FromSlp(original->slp());
+  ASSERT_TRUE(reloaded->LoadPrepared(query, path1).ok());
+  ASSERT_TRUE(reloaded->SavePrepared(query, path2).ok());
+  EXPECT_EQ(ReadFile(path1), ReadFile(path2));
+
+  const std::string v1 = SerializeV1(original, query);
+  WriteFile(path1, v1);
+  const DocumentPtr reloaded_v1 = Document::FromSlp(original->slp());
+  ASSERT_TRUE(reloaded_v1->LoadPrepared(query, path1).ok());
+  EXPECT_EQ(v1, SerializeV1(reloaded_v1, query));
+  std::remove(path1.c_str());
+  std::remove(path2.c_str());
 }
 
 // Differential v1/v2 compatibility: a golden v1 bundle produced by the
 // pre-codec writer is checked into the repository and must stay loadable —
-// with identical results — forever. Regenerate (only if the *v1* format
-// legitimately changes, which it must not) with:
-//   slpspan compress <(printf 'abccaabccaabccabbacbacabbacc') /tmp/g.slp
-//   slpspan prepare /tmp/g.slp '.*x{a}y{b?cc*}.*' --alphabet=abc \
-//           --codec=v1 -o tests/data/golden_v1.prep
-TEST(BundleCodecs, GoldenV1FixtureStaysReadable) {
+// with identical results — forever. The v1 format must never change; the
+// fixture holds the v1 export (storage::SerializePreparedStateV1) of
+// '.*x{a}y{b?cc*}.*' over alphabet abc on the RePair-compressed document
+// 'abccaabccaabccabbacbacabbacc'.
+TEST(BundleFormats, GoldenV1FixtureStaysReadable) {
   const std::string golden =
       fs::path(__FILE__).parent_path() / "data" / "golden_v1.prep";
   ASSERT_TRUE(fs::exists(golden)) << golden << " missing from the repo";
@@ -636,13 +649,15 @@ TEST(BundleCodecs, GoldenV1FixtureStaysReadable) {
   EXPECT_EQ(fresh.Count()->value, warm.Count()->value);
   ExpectSameTupleSet(fresh.ExtractAll(), warm.ExtractAll());
   EXPECT_EQ(0u, doc->cache_stats().misses);
+  // The frozen v1 writer still reproduces the fixture byte-for-byte.
+  EXPECT_EQ(ReadFile(golden), SerializeV1(fresh_doc, query));
 }
 
 // Structured fuzz over the v2 section decoders: mutate payload bytes and
-// re-seal the checksum so corruption reaches the section parsers (the
-// checksum would otherwise reject everything first). Decoding must return
-// a Status — never crash, hang or read out of bounds. Runs under ASan in CI.
-TEST(BundleCodecs, ResealedPayloadMutationsNeverCrash) {
+// re-seal the checksum so corruption reaches the section parsers.
+// Decoding must return a Status — never crash, hang or read out of
+// bounds. Runs under ASan in CI.
+TEST(BundleFormats, ResealedPayloadMutationsNeverCrash) {
   const Query query = MustCompile(".*x{a}y{b?cc*}.*", "abc");
   const DocumentPtr doc = *Document::FromText("abccaabccaabccabbacbacabbacc");
   const std::string path = TempPath("reseal.prep");
@@ -654,20 +669,6 @@ TEST(BundleCodecs, ResealedPayloadMutationsNeverCrash) {
 
   const uint64_t doc_fp = doc->fingerprint();
   const uint64_t query_fp = query.fingerprint();
-  auto reseal = [&](std::string* img) {
-    // Patch payload_size (offset 32) and checksum (offset 40) so the header
-    // admits the mutated payload and the section decoders see it.
-    const uint64_t n = img->size() - storage::kBundleHeaderSize;
-    const uint64_t ck = storage::Checksum64(
-        reinterpret_cast<const uint8_t*>(img->data()) +
-            storage::kBundleHeaderSize,
-        static_cast<size_t>(n));
-    for (int i = 0; i < 8; ++i) {
-      (*img)[32 + i] = static_cast<char>(n >> (8 * i));
-      (*img)[40 + i] = static_cast<char>(ck >> (8 * i));
-    }
-  };
-
   std::mt19937_64 rng(20260808);
   for (int round = 0; round < 3000; ++round) {
     std::string mutated = image;
@@ -693,7 +694,7 @@ TEST(BundleCodecs, ResealedPayloadMutationsNeverCrash) {
         break;
       }
     }
-    reseal(&mutated);
+    Reseal(&mutated);
     Result<storage::StatePtr> state = storage::DeserializePreparedState(
         reinterpret_cast<const uint8_t*>(mutated.data()), mutated.size(),
         doc_fp, query_fp, {});
@@ -705,10 +706,101 @@ TEST(BundleCodecs, ResealedPayloadMutationsNeverCrash) {
   }
 }
 
-// Spill accounting regression: the write-behind tier serializes with the
-// default codec (kAuto), and its byte budget is charged with *encoded*
-// sizes — so a budget sized for two uncompressed (v1) bundles must admit
-// strictly more compressed ones.
+// A forged but correctly sealed 76-byte bundle: a one-leaf grammar,
+// q = 65535 and three empty sparse matrices (5 bytes each). Each would
+// materialize a 512 MiB matrix; the pool cap must refuse the bundle before
+// allocating any of them.
+TEST(BundleFormats, ForgedMatrixPoolIsRefusedBeforeAllocating) {
+  const Query query = MustCompile(".*x{a}.*", "a");
+  const DocumentPtr doc = *Document::FromText("a");
+  storage::BundleWriter payload;
+  payload.U8(1);  // compact grammar: 1 non-terminal, root 0, a leaf 'a'
+  payload.Varint(1);
+  payload.Varint(0);
+  payload.U8(1);
+  payload.Varint('a');
+  payload.U32(65535);  // q
+  payload.U32(3);      // pool size
+  for (int m = 0; m < 3; ++m) {
+    payload.U8(1);  // raw sparse layout, no non-zero words
+    payload.U32(0);
+  }
+  const std::string image =
+      storage::SealBundle(storage::kBundleVersion, 0, doc->fingerprint(),
+                          query.fingerprint(), payload.TakeBuffer());
+  ASSERT_EQ(76u, image.size());
+  const std::string path = TempPath("forged_pool.prep");
+  WriteFile(path, image);
+
+  rusage before{}, after{};
+  getrusage(RUSAGE_SELF, &before);
+  const Status st = doc->LoadPrepared(query, path);
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_EQ(StatusCode::kCorruption, st.code()) << st.ToString();
+  // ru_maxrss is the peak in KiB; one materialized matrix alone is 512 MiB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024)
+      << "loading a 76-byte bundle raised peak RSS by "
+      << (after.ru_maxrss - before.ru_maxrss) / 1024 << " MiB";
+  std::remove(path.c_str());
+}
+
+// A spill-dir bundle carrying a stream under a retired tag (1 = VarintGB,
+// 3 = Elias-Fano) is a miss: deleted on sight and rebuilt, with the
+// answers unchanged.
+TEST(SpillTier, RetiredStreamTagIsAMissAndRebuilds) {
+  RuntimeGuard guard;
+  const Query query = MustCompile(".*x{a}y{b?cc*}.*", "abc");
+  const DocumentPtr doc = *Document::FromText("abccaabccaabccabbacbacabbacc");
+  const Engine fresh(query, doc);
+  const uint64_t count = fresh.Count()->value;
+  const std::string path = TempPath("retired_probe.prep");
+  ASSERT_TRUE(doc->SavePrepared(query, path).ok());
+  const std::string image = ReadFile(path);
+  std::remove(path.c_str());
+
+  for (const char retired : {'\1', '\3'}) {
+    // The first payload byte that the reader takes as a stream tag: the
+    // bitpack tag (2) whose replacement makes the decoder name the tag.
+    std::string forged;
+    for (size_t pos = storage::kBundleHeaderSize; pos < image.size(); ++pos) {
+      if (image[pos] != '\2') continue;
+      std::string candidate = image;
+      candidate[pos] = retired;
+      Reseal(&candidate);
+      const Result<storage::StatePtr> state =
+          storage::DeserializePreparedState(
+              reinterpret_cast<const uint8_t*>(candidate.data()),
+              candidate.size(), doc->fingerprint(), query.fingerprint(), {});
+      if (!state.ok() && state.status().message().find("stream tag") !=
+                             std::string::npos) {
+        EXPECT_EQ(StatusCode::kCorruption, state.status().code());
+        forged = candidate;
+        break;
+      }
+    }
+    ASSERT_FALSE(forged.empty()) << "no stream tag found in the bundle";
+
+    const std::string dir = FreshDir("spill_retired");
+    WriteFile(dir + "/" + Runtime::SpillBundleName(*doc, query), forged);
+    ASSERT_TRUE(
+        Runtime::ConfigureSpill({.directory = dir, .synchronous = true}).ok());
+    const uint64_t disk_hits = Runtime::cache_stats().disk_hits;
+
+    const DocumentPtr again = Document::FromSlp(doc->slp());
+    const Engine rebuilt(query, again);
+    EXPECT_EQ(count, rebuilt.Count()->value);
+    ExpectSameTupleSet(fresh.ExtractAll(), rebuilt.ExtractAll());
+    EXPECT_EQ(1u, again->cache_stats().misses);
+    EXPECT_EQ(disk_hits, Runtime::cache_stats().disk_hits);
+    EXPECT_EQ(0u, CountBundles(dir)) << "retired-tag bundles are deleted";
+    ASSERT_TRUE(Runtime::ConfigureSpill({}).ok());
+  }
+}
+
+// Spill accounting regression: the write-behind tier serializes format
+// v2, and its byte budget is charged with *encoded* sizes — so a budget
+// sized for two uncompressed (v1) bundles must admit strictly more
+// compressed ones.
 TEST(SpillTier, CompressedBundlesAdmitMoreUnderSameBudget) {
   RuntimeGuard guard;
   const Query query = MustCompile(".*x{a}y{b?cc*}.*", "abc");
@@ -719,22 +811,20 @@ TEST(SpillTier, CompressedBundlesAdmitMoreUnderSameBudget) {
       GenerateLog({.lines = 30, .seed = 54}),
   };
 
-  // Size the uncompressed (v1) and default (auto) bundle for each text.
-  uint64_t max_v1 = 0, max_auto = 0;
+  // Size the uncompressed (v1) and the written (v2) bundle for each text.
+  uint64_t max_v1 = 0, max_v2 = 0;
   for (const std::string& text : texts) {
     const DocumentPtr doc = *Document::FromText(text);
     const std::string path = TempPath("admit_probe.prep");
-    ASSERT_TRUE(
-        doc->SavePrepared(query, path, nullptr, BundleCodec::kV1).ok());
-    max_v1 = std::max<uint64_t>(max_v1, fs::file_size(path));
+    max_v1 = std::max<uint64_t>(max_v1, SerializeV1(doc, query).size());
     ASSERT_TRUE(doc->SavePrepared(query, path).ok());
-    max_auto = std::max<uint64_t>(max_auto, fs::file_size(path));
+    max_v2 = std::max<uint64_t>(max_v2, fs::file_size(path));
     std::remove(path.c_str());
   }
   ASSERT_GT(max_v1, 0u);
-  // The compression bar this satellite rides on (bench E17 enforces the
+  // The compression bar this test rides on (bench E17 enforces the
   // corpus-level 1.5x): without it the admission claim below is vacuous.
-  EXPECT_GE(max_v1, max_auto * 3 / 2);
+  EXPECT_GE(max_v1, max_v2 * 3 / 2);
 
   // Budget for ~2.2 uncompressed bundles; spill all four documents.
   const std::string dir = FreshDir("spill_admit");
