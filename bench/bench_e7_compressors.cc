@@ -4,6 +4,18 @@
 // compression ratio, depth, construction time, and downstream evaluation
 // cost (prepare + full streaming enumeration), all through the public
 // Document / Engine facade.
+//
+// E7b — RePair scaling: Document::FromText (RePair) on generated logs of
+// about 0.17, 0.34, 0.68 and 1.35 MB, best of 3. Exits nonzero unless the
+// 1.35 MB log compresses in <= 2 s and each doubling of the input grows the
+// time by <= 2.5x (a per-round recount would grow ~4x). Emits one JSON
+// document ("JSON: " line and --json=PATH).
+
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "harness.h"
 #include "slpspan/slpspan.h"
@@ -101,10 +113,78 @@ void RunE7() {
       "follows size(S), per Theorems 5.1/7.1/8.10.\n");
 }
 
+// Returns whether both scaling bars hold. The three repetitions sweep all
+// sizes in turn, so a noisy stretch on the host hits every size alike
+// instead of one.
+bool RunE7b(bench::Json* json) {
+  constexpr double kMaxLargeSeconds = 2.0;
+  constexpr double kMaxDoublingGrowth = 2.5;
+  constexpr int kReps = 3;
+  const uint64_t kLines[] = {4000, 8000, 16000, 32000};
+  std::vector<std::string> texts;
+  for (const uint64_t lines : kLines) texts.push_back(GenerateLog({.lines = lines, .seed = 1}));
+  std::vector<double> best(texts.size(), 1e300);
+  std::vector<uint64_t> size_s(texts.size());
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (size_t i = 0; i < texts.size(); ++i) {
+      Stopwatch sw;
+      const DocumentPtr doc = *Document::FromText(texts[i], Compression::kRePair);
+      best[i] = std::min(best[i], sw.ElapsedSeconds());
+      size_s[i] = doc->slp().PaperSize();
+    }
+  }
+
+  bench::Table table("E7b: RePair scaling on generated logs (best of 3)",
+                     {"lines", "d (MB)", "size(S)", "t (s)", "MB/s", "growth"});
+  bool pass = best.back() <= kMaxLargeSeconds;
+  std::vector<std::string> rows;
+  for (size_t i = 0; i < texts.size(); ++i) {
+    const double mb = static_cast<double>(texts[i].size()) / 1e6;
+    const double growth = i > 0 ? best[i] / best[i - 1] : 0;
+    if (growth > kMaxDoublingGrowth) pass = false;
+    table.AddRow({std::to_string(kLines[i]), bench::FmtDouble(mb, 2),
+                  bench::FmtCount(size_s[i]), bench::FmtDouble(best[i], 3),
+                  bench::FmtDouble(mb / best[i], 1),
+                  i > 0 ? bench::FmtDouble(growth, 2) + "x" : "-"});
+    bench::Json row;
+    row.Put("lines", kLines[i]);
+    row.Put("bytes", static_cast<uint64_t>(texts[i].size()));
+    row.Put("size_s", size_s[i]);
+    row.Put("seconds", best[i]);
+    row.Put("growth", growth);
+    rows.push_back(row.Str());
+  }
+  table.Print();
+  std::printf("\nE7b bars: largest log <= %.1f s, each doubling <= %.1fx: %s\n",
+              kMaxLargeSeconds, kMaxDoublingGrowth, pass ? "PASS" : "FAIL");
+  json->PutRaw("e7b_repair_scaling", bench::Json::Array(rows));
+  json->Put("e7b_pass", std::string(pass ? "true" : "false"));
+  return pass;
+}
+
 }  // namespace
 }  // namespace slpspan
 
-int main() {
+int main(int argc, char** argv) {
+  std::string json_path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
+  }
+
   slpspan::RunE7();
-  return 0;
+  slpspan::bench::Json json;
+  json.Put("bench", std::string("e7_compressors"));
+  const bool pass = slpspan::RunE7b(&json);
+
+  const std::string out = json.Str();
+  std::printf("\nJSON: %s\n", out.c_str());
+  if (!json_path.empty()) {
+    std::ofstream f(json_path);
+    f << out << "\n";
+    if (!f) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+      return 1;
+    }
+  }
+  return pass ? 0 : 1;
 }

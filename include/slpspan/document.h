@@ -48,7 +48,7 @@ using DocumentPtr = std::shared_ptr<const Document>;
 
 /// Grammar compressor used by Document::FromText / FromFile.
 enum class Compression {
-  kRePair,    ///< greedy digram replacement — best ratio on repetitive text
+  kRePair,    ///< RePair digram replacement, O(d log d) — best ratio on repetitive text
   kLz78,      ///< LZ78 parse converted to an SLP — fastest construction
   kLz77,      ///< LZ77 parse converted to an SLP (Theorem 4.6 route)
   kBalanced,  ///< balanced hash-consed grammar — O(log d) depth guarantee

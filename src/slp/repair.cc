@@ -1,96 +1,441 @@
 // RePair compression: repeatedly replaces the most frequent digram with a
-// fresh non-terminal until no digram repeats.
+// fresh non-terminal until no digram repeats. Digram counts, occurrence
+// lists and the priority order are maintained incrementally across rounds
+// (Larsson & Moffat), so a round only touches the neighbours of the
+// occurrences it replaces.
 #include "slp/repair.h"
 
+#include <algorithm>
+#include <limits>
 #include <unordered_map>
+#include <utility>
 
 namespace slpspan {
 
 namespace {
 
-// Working symbols: terminals are tagged with the high bit clear, grammar
-// non-terminals (assembler ids) with the high bit set.
-constexpr uint64_t kNtTag = 1ull << 63;
+constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+// Symbol of a position that a replacement removed (see DigramIndex).
+constexpr uint32_t kHole = kNone;
+// Alphabets below this many symbol values are ranked by a direct table, and
+// up to this many terminal digrams are indexed by one.
+constexpr SymbolId kDirectSymbols = 1u << 16;
+constexpr uint64_t kDirectPairs = 1u << 18;
+// Occurrences ahead of the current one whose slots a replay prefetches.
+constexpr uint32_t kPrefetchDistance = 16;
 
-struct PairHash {
-  size_t operator()(const std::pair<uint64_t, uint64_t>& p) const {
-    uint64_t v = p.first * 0x9e3779b97f4a7c15ULL ^ (p.second + 0x7f4a7c15u);
-    v ^= v >> 29;
-    v *= 0xbf58476d1ce4e5b9ULL;
-    return static_cast<size_t>(v ^ (v >> 32));
+// Input symbols: byte strings are read as unsigned bytes (as ToSymbols does).
+SymbolId SymbolOf(SymbolId s) { return s; }
+SymbolId SymbolOf(char c) { return static_cast<unsigned char>(c); }
+
+// A digram of working symbols packed as (first << 32 | second); comparing
+// keys compares pairs lexicographically.
+uint64_t Key(uint32_t first, uint32_t second) {
+  return static_cast<uint64_t>(first) << 32 | second;
+}
+
+// The working sequence with its digram index.
+//
+// Working symbols are dense ids whose integer order is the tie-break order:
+// the distinct terminals get 0..t-1 in value order, and the non-terminal
+// with assembler id A gets t + A (so terminals sort below non-terminals, and
+// non-terminals by assembler id).
+//
+// Positions keep their index for the whole run: replacing the occurrence at
+// (i, next(i)) writes the new symbol to i and turns next(i) into a hole that
+// the prev/next links skip. A position p with successor q belongs to the
+// digram record `rec`
+//   * of (sym[p], sym[q]) when the two differ;
+//   * of (a, a) when p starts a maximal run a^k, k >= 2 — that record's
+//     count is the sum of floor(k/2) over its runs, the number of
+//     non-overlapping occurrences a left-to-right replacement can take;
+//   * of none otherwise (p inside a run).
+//
+// Each record's occurrence list is a contiguous span of `occ_`, laid out
+// when the record is made: all digrams a round creates involve its new
+// symbol, so they are all indexed in that round. Later changes only remove
+// occurrences, and they do so lazily: the position's `rec` is reset and its
+// span entry goes stale, to be skipped when the list is replayed. The one
+// exception is a run whose first position is consumed: its start moves one
+// position right, and the entry still names the old start, now a hole whose
+// `next` leads to the new one.
+class DigramIndex {
+ public:
+  template <typename Text>  // std::vector<SymbolId> or std::string_view
+  explicit DigramIndex(const Text& text) {
+    // Working symbols of non-terminals reach about 2 * text.size().
+    SLPSPAN_CHECK(text.size() <= (1u << 30));
+    const uint32_t n = static_cast<uint32_t>(text.size());
+
+    // Terminal ranks and initial digram records come from direct tables
+    // on small alphabets (bytes), from hash maps otherwise.
+    SymbolId max_sym = 0;
+    for (const auto c : text) max_sym = std::max(max_sym, SymbolOf(c));
+    const bool small_alphabet = max_sym < kDirectSymbols;
+    std::vector<uint32_t> rank_table;
+    std::unordered_map<SymbolId, uint32_t> rank_map;
+    if (small_alphabet) {
+      rank_table.assign(max_sym + 1, kNone);
+      for (const auto c : text) rank_table[SymbolOf(c)] = 0;
+      for (SymbolId s = 0; s <= max_sym; ++s) {
+        if (rank_table[s] == kNone) continue;
+        rank_table[s] = static_cast<uint32_t>(terminals_.size());
+        terminals_.push_back(s);
+      }
+    } else {
+      for (const auto c : text) {
+        if (rank_map.emplace(SymbolOf(c), 0).second) terminals_.push_back(SymbolOf(c));
+      }
+      std::sort(terminals_.begin(), terminals_.end());
+      for (uint32_t i = 0; i < terminals_.size(); ++i) rank_map[terminals_[i]] = i;
+    }
+
+    slots_.resize(n);
+    for (uint32_t p = 0; p < n; ++p) {
+      const SymbolId s = SymbolOf(text[p]);
+      slots_[p].sym = small_alphabet ? rank_table[s] : rank_map[s];
+      slots_[p].prev = p == 0 ? kNone : p - 1;
+      slots_[p].next = p + 1 == n ? kNone : p + 1;
+    }
+
+    // Every round adds at most two list entries per replaced occurrence,
+    // and the input at most one per position.
+    occ_.reserve(3 * static_cast<size_t>(n));
+    const uint64_t t = terminals_.size();
+    std::vector<uint32_t> pair_table;
+    std::unordered_map<uint64_t, uint32_t> pair_map;
+    if (t * t <= kDirectPairs) pair_table.assign(t * t, kNone);
+    const auto record = [&](uint32_t a, uint32_t b) {
+      uint32_t* r = pair_table.empty() ? &pair_map.try_emplace(Key(a, b), kNone).first->second
+                                       : &pair_table[a * t + b];
+      if (*r == kNone) {
+        *r = static_cast<uint32_t>(recs_.size());
+        recs_.push_back({Key(a, b), 0, 0, 0});
+      }
+      return *r;
+    };
+    for (uint32_t p = 0; p + 1 < n;) {
+      const uint32_t a = slots_[p].sym;
+      if (slots_[p + 1].sym != a) {
+        Link(p, record(a, slots_[p + 1].sym), 1);
+        ++p;
+        continue;
+      }
+      uint32_t end = p + 1;
+      while (end + 1 < n && slots_[end + 1].sym == a) ++end;
+      Link(p, record(a, a), (end - p + 1) / 2);
+      p = end;  // the run's last position pairs with a different symbol
+    }
+    LayOutLists(0);
+    linked_.shrink_to_fit();
   }
+
+  uint32_t NumTerminals() const { return static_cast<uint32_t>(terminals_.size()); }
+
+  // The terminal with working symbol `sym` < NumTerminals().
+  SymbolId Terminal(uint32_t sym) const { return terminals_[sym]; }
+
+  // Pops the digram to replace next: the highest count, ties broken by the
+  // smallest (first, second). Returns false once no digram occurs twice.
+  bool PopMostFrequent(std::pair<uint32_t, uint32_t>* best) {
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end());
+      const HeapEntry top = heap_.back();
+      heap_.pop_back();
+      // Counts of existing digrams only ever drop, so an entry whose count
+      // is stale is re-queued at the current count.
+      if (top.count != recs_[top.rec].count) {
+        Push(top.rec);
+        continue;
+      }
+      current_ = top.rec;
+      *best = {static_cast<uint32_t>(top.key >> 32), static_cast<uint32_t>(top.key)};
+      return true;
+    }
+    return false;
+  }
+
+  // Replaces every occurrence of the digram last returned by
+  // PopMostFrequent by `fresh`, left to right and non-overlapping, then
+  // indexes the digrams the new symbol forms with its neighbours.
+  void ReplaceAll(uint32_t fresh) {
+    const uint32_t r = current_;
+    const PairRecord rec = recs_[r];
+    const bool run = rec.key >> 32 == (rec.key & 0xffffffffu);
+    first_new_ = static_cast<uint32_t>(recs_.size());
+    if (left_rec_.size() <= fresh) {
+      left_rec_.resize(2 * static_cast<size_t>(fresh) + 1, kNone);
+      right_rec_.resize(2 * static_cast<size_t>(fresh) + 1, kNone);
+    }
+    for (uint32_t e = rec.begin; e < rec.end; ++e) {
+      // The list is in position order but sparse: fetch the slots of a
+      // later occurrence (and its neighbours) ahead of time.
+      if (e + kPrefetchDistance < rec.end) {
+        const uint32_t q = occ_[e + kPrefetchDistance];
+        const Slot* ahead = slots_.data() + q;
+        __builtin_prefetch(q > 0 ? ahead - 1 : ahead);
+        __builtin_prefetch(ahead);
+        __builtin_prefetch(ahead + 1);
+      }
+      uint32_t p = occ_[e];
+      if (run) {
+        while (p != kNone && slots_[p].sym == kHole) p = slots_[p].next;
+        if (p == kNone) continue;
+      }
+      if (slots_[p].rec != r) continue;  // stale entry
+      if (run) {
+        ReplaceRun(p, fresh);
+      } else {
+        ReplaceOccurrence(p, fresh);
+      }
+    }
+    CloseBlock(fresh);
+    recs_[r].count = 0;
+    LayOutLists(first_new_);
+  }
+
+  // The remaining sequence, left to right (position 0 is never a hole).
+  std::vector<uint32_t> Sequence() const {
+    std::vector<uint32_t> seq;
+    for (uint32_t p = 0; p != kNone; p = slots_[p].next) {
+      seq.push_back(slots_[p].sym);
+    }
+    return seq;
+  }
+
+ private:
+  struct Slot {
+    uint32_t sym;
+    uint32_t prev;
+    uint32_t next;
+    uint32_t rec = kNone;
+  };
+  struct PairRecord {
+    uint64_t key;
+    uint32_t count;
+    uint32_t begin;  // occurrence list occ_[begin, end)
+    uint32_t end;
+  };
+  struct HeapEntry {
+    uint32_t count;
+    uint32_t rec;
+    uint64_t key;
+    // Max-heap order: higher count first, then the smaller pair.
+    bool operator<(const HeapEntry& o) const {
+      return count != o.count ? count < o.count : key > o.key;
+    }
+  };
+
+  void Push(uint32_t r) {
+    if (recs_[r].count < 2) return;
+    heap_.push_back({recs_[r].count, r, recs_[r].key});
+    std::push_heap(heap_.begin(), heap_.end());
+  }
+
+  // Adds p to the list of record r (made this round), with `count`
+  // occurrences. `end` counts the entries until LayOutLists.
+  void Link(uint32_t p, uint32_t r, uint32_t count) {
+    slots_[p].rec = r;
+    recs_[r].count += count;
+    ++recs_[r].end;
+    linked_.push_back({p, r});
+  }
+
+  // Gives the records from `first` on their spans of occ_, filled from
+  // linked_ in link order.
+  void LayOutLists(uint32_t first) {
+    uint32_t offset = static_cast<uint32_t>(occ_.size());
+    for (uint32_t r = first; r < recs_.size(); ++r) {
+      const uint32_t entries = recs_[r].end;
+      recs_[r].begin = recs_[r].end = offset;
+      offset += entries;
+      Push(r);
+    }
+    occ_.resize(offset);
+    for (const auto& [p, r] : linked_) occ_[recs_[r].end++] = p;
+    linked_.clear();
+  }
+
+  // Removes the occurrence of a digram of two distinct symbols at p.
+  void DropPair(uint32_t p) {
+    --recs_[slots_[p].rec].count;
+    slots_[p].rec = kNone;
+  }
+
+  // The run ending at the position after `last` loses that position.
+  void ShrinkRunEnd(uint32_t last) {
+    const uint32_t x = slots_[last].sym;
+    uint32_t start = last;
+    uint32_t len = 2;
+    while (slots_[start].prev != kNone && slots_[slots_[start].prev].sym == x) {
+      start = slots_[start].prev;
+      ++len;
+    }
+    recs_[slots_[start].rec].count -= len / 2 - (len - 1) / 2;
+    if (len == 2) slots_[start].rec = kNone;
+  }
+
+  // The run starting at `start` loses that position; `new_start` follows it.
+  void ShiftRunStart(uint32_t start, uint32_t new_start) {
+    const uint32_t y = slots_[start].sym;
+    uint32_t len = 2;
+    for (uint32_t p = new_start;
+         slots_[p].next != kNone && slots_[slots_[p].next].sym == y;
+         p = slots_[p].next) {
+      ++len;
+    }
+    const uint32_t r = slots_[start].rec;
+    slots_[start].rec = kNone;
+    recs_[r].count -= len / 2 - (len - 1) / 2;
+    if (len > 2) slots_[new_start].rec = r;
+  }
+
+  // i takes the new symbol and j = next(i) becomes a hole. The hole keeps
+  // its `next`, which a run's list entry may follow (see the class comment).
+  void Contract(uint32_t i, uint32_t fresh) {
+    const uint32_t j = slots_[i].next;
+    const uint32_t after = slots_[j].next;
+    SLPSPAN_DCHECK(slots_[j].rec == kNone);
+    slots_[i].sym = fresh;
+    slots_[i].next = after;
+    if (after != kNone) slots_[after].prev = i;
+    slots_[j].sym = kHole;
+    AddFresh(i, fresh);
+  }
+
+  // Indexes the digrams formed by `fresh` at i. Occurrences are replaced
+  // left to right, so the left neighbour is final, while the right one may
+  // still be replaced: consecutive new symbols form a block whose run and
+  // right digram are indexed once the block is closed.
+  void AddFresh(uint32_t i, uint32_t fresh) {
+    const uint32_t h = slots_[i].prev;
+    if (h != kNone && h == block_end_) {
+      block_end_ = i;
+      ++block_len_;
+      return;
+    }
+    CloseBlock(fresh);
+    if (h != kNone) Link(h, NewRecord(left_rec_, slots_[h].sym, true, fresh), 1);
+    block_start_ = block_end_ = i;
+    block_len_ = 1;
+  }
+
+  void CloseBlock(uint32_t fresh) {
+    if (block_start_ == kNone) return;
+    if (block_len_ >= 2) {
+      Link(block_start_, NewRecord(right_rec_, fresh, false, fresh), block_len_ / 2);
+    }
+    const uint32_t k = slots_[block_end_].next;
+    if (k != kNone) Link(block_end_, NewRecord(right_rec_, slots_[k].sym, false, fresh), 1);
+    block_start_ = block_end_ = kNone;
+  }
+
+  // Occurrence of (x, y), x != y, at i. A left neighbour that already
+  // carries `fresh` was replaced earlier this round (AddFresh indexes its
+  // digrams).
+  void ReplaceOccurrence(uint32_t i, uint32_t fresh) {
+    const uint32_t x = slots_[i].sym;
+    const uint32_t j = slots_[i].next;
+    const uint32_t y = slots_[j].sym;
+    slots_[i].rec = kNone;
+    const uint32_t h = slots_[i].prev;
+    if (h != kNone && slots_[h].sym != fresh) {
+      if (slots_[h].sym == x) {
+        ShrinkRunEnd(h);
+      } else {
+        DropPair(h);
+      }
+    }
+    const uint32_t k = slots_[j].next;
+    if (k != kNone && slots_[k].sym != fresh) {
+      if (slots_[k].sym == y) {
+        ShiftRunStart(j, k);
+      } else {
+        DropPair(j);
+      }
+    }
+    Contract(i, fresh);
+  }
+
+  // Run x^len starting at `start`: becomes fresh^(len/2), plus the last x
+  // when len is odd (whose digram with its right neighbour is unchanged).
+  void ReplaceRun(uint32_t start, uint32_t fresh) {
+    const uint32_t x = slots_[start].sym;
+    slots_[start].rec = kNone;
+    uint32_t end = start;
+    uint32_t len = 1;
+    while (slots_[end].next != kNone && slots_[slots_[end].next].sym == x) {
+      end = slots_[end].next;
+      ++len;
+    }
+    const uint32_t h = slots_[start].prev;
+    if (h != kNone && slots_[h].sym != fresh) DropPair(h);
+    if (len % 2 == 0 && slots_[end].next != kNone) DropPair(end);
+    uint32_t p = start;
+    for (uint32_t t = 0; t < len / 2; ++t) {
+      Contract(p, fresh);
+      p = slots_[p].next;
+    }
+  }
+
+  // This round's record of the digram (sym, fresh) when `left`, else
+  // (fresh, sym). `by_sym` remembers the record last made per sym; one made
+  // before first_new_ belongs to an earlier round.
+  uint32_t NewRecord(std::vector<uint32_t>& by_sym, uint32_t sym, bool left,
+                     uint32_t fresh) {
+    uint32_t& r = by_sym[sym];
+    if (r == kNone || r < first_new_) {
+      r = static_cast<uint32_t>(recs_.size());
+      recs_.push_back({left ? Key(sym, fresh) : Key(fresh, sym), 0, 0, 0});
+    }
+    return r;
+  }
+
+  std::vector<SymbolId> terminals_;  // by working symbol
+  std::vector<Slot> slots_;
+  std::vector<PairRecord> recs_;
+  std::vector<uint32_t> occ_;  // occurrence list entries (positions)
+  std::vector<HeapEntry> heap_;
+  // (position, record) linked since the last layout.
+  std::vector<std::pair<uint32_t, uint32_t>> linked_;
+  // This round's record of (sym, fresh) / (fresh, sym), indexed by sym.
+  std::vector<uint32_t> left_rec_, right_rec_;
+  uint32_t current_ = kNone;    // record being replaced
+  uint32_t first_new_ = 0;      // first record made this round
+  uint32_t block_start_ = kNone;  // open block of this round's symbol
+  uint32_t block_end_ = kNone;
+  uint32_t block_len_ = 0;
 };
 
 }  // namespace
 
-Slp RePairCompress(const std::vector<SymbolId>& text, RePairOptions opts) {
+namespace {
+
+template <typename Text>
+Slp Compress(const Text& text) {
   SLPSPAN_CHECK(!text.empty());
   CnfAssembler a;
-
-  std::vector<uint64_t> seq;
-  seq.reserve(text.size());
-  for (SymbolId s : text) seq.push_back(s);
-
-  auto to_nt = [&](uint64_t work_sym) -> NtId {
-    if (work_sym & kNtTag) return static_cast<NtId>(work_sym & ~kNtTag);
-    return a.Leaf(static_cast<SymbolId>(work_sym));
-  };
-
-  using WorkPair = std::pair<uint64_t, uint64_t>;
-  uint32_t round = 0;
-  while (seq.size() >= 2) {
-    if (opts.max_rounds != 0 && round >= opts.max_rounds) break;
-    ++round;
-
-    // Count adjacent pairs; occurrences of xx inside a run x^k are counted
-    // non-overlapping (floor(k/2) times), matching what replacement can do.
-    std::unordered_map<WorkPair, uint64_t, PairHash> freq;
-    freq.reserve(seq.size());
-    for (size_t i = 0; i + 1 < seq.size();) {
-      WorkPair p{seq[i], seq[i + 1]};
-      ++freq[p];
-      if (p.first == p.second && i + 2 < seq.size() && seq[i + 2] == p.first) {
-        i += 2;
-      } else {
-        i += 1;
-      }
-    }
-
-    WorkPair best{};
-    uint64_t best_count = 1;
-    for (const auto& [p, c] : freq) {
-      if (c > best_count || (c == best_count && c > 1 && p < best)) {
-        best = p;
-        best_count = c;
-      }
-    }
-    if (best_count < 2) break;
-
-    // Replace every non-overlapping occurrence left-to-right.
-    const NtId fresh = a.Pair(to_nt(best.first), to_nt(best.second));
-    const uint64_t fresh_sym = kNtTag | fresh;
-    std::vector<uint64_t> next;
-    next.reserve(seq.size());
-    for (size_t i = 0; i < seq.size();) {
-      if (i + 1 < seq.size() && seq[i] == best.first && seq[i + 1] == best.second) {
-        next.push_back(fresh_sym);
-        i += 2;
-      } else {
-        next.push_back(seq[i]);
-        ++i;
-      }
-    }
-    seq.swap(next);
-  }
-
   std::vector<NtId> parts;
-  parts.reserve(seq.size());
-  for (uint64_t s : seq) parts.push_back(to_nt(s));
+  {
+    DigramIndex index(text);
+    const uint32_t t = index.NumTerminals();
+    auto to_nt = [&](uint32_t work_sym) -> NtId {
+      if (work_sym >= t) return work_sym - t;
+      return a.Leaf(index.Terminal(work_sym));
+    };
+    for (std::pair<uint32_t, uint32_t> best; index.PopMostFrequent(&best);) {
+      const NtId fresh = a.Pair(to_nt(best.first), to_nt(best.second));
+      index.ReplaceAll(t + fresh);
+    }
+    for (uint32_t s : index.Sequence()) parts.push_back(to_nt(s));
+  }
   return a.Finish(a.Balanced(parts));
 }
 
-Slp RePairCompress(std::string_view text, RePairOptions opts) {
-  return RePairCompress(ToSymbols(text), opts);
-}
+}  // namespace
+
+Slp RePairCompress(const std::vector<SymbolId>& text) { return Compress(text); }
+
+Slp RePairCompress(std::string_view text) { return Compress(text); }
 
 }  // namespace slpspan

@@ -1,17 +1,27 @@
-// RePair grammar compression (Larsson & Moffat style).
+// RePair grammar compression (Larsson & Moffat, DCC 1999).
 //
 // Repeatedly replaces a most frequent adjacent symbol pair by a fresh
 // non-terminal until no pair occurs twice, then packs the remaining sequence
-// with a balanced binary tree. This implementation recounts pair frequencies
-// per round (O(current length) per round) instead of maintaining the
-// linear-time priority-queue structure of the original paper — identical
-// output grammar, simpler code; see DESIGN.md §4(3). Intended for inputs up
-// to a few hundred KB; use Lz78Compress for larger documents.
+// with a balanced binary tree.
+//
+// The pair rule is exact and deterministic:
+//   * count(a, b) is the number of adjacent occurrences; for a == b it is
+//     the sum of floor(k/2) over the maximal runs a^k;
+//   * the pair with the highest count wins; ties go to the smallest
+//     (first, second), where terminals order below non-terminals and
+//     non-terminals by creation order;
+//   * occurrences are replaced left to right without overlap (this only
+//     matters inside runs).
+//
+// Pair counts, per-pair occurrence lists and a lazily invalidated max-heap
+// are maintained across rounds: a replacement only updates the pairs next to
+// the occurrences it rewrites, and no round rescans the sequence. Time is
+// O(n log n) for n input symbols, space O(n) (about 30 bytes per symbol);
+// inputs are limited to 2^30 symbols.
 
 #ifndef SLPSPAN_SLP_REPAIR_H_
 #define SLPSPAN_SLP_REPAIR_H_
 
-#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -19,18 +29,11 @@
 
 namespace slpspan {
 
-struct RePairOptions {
-  /// Stop after this many replacement rounds (0 = unlimited). A safety valve
-  /// for adversarial (incompressible) inputs; the remaining sequence is
-  /// packed with a balanced tree either way.
-  uint32_t max_rounds = 0;
-};
-
 /// Compresses a non-empty symbol sequence into a normal-form SLP.
-Slp RePairCompress(const std::vector<SymbolId>& text, RePairOptions opts = {});
+Slp RePairCompress(const std::vector<SymbolId>& text);
 
 /// Convenience overload for byte strings.
-Slp RePairCompress(std::string_view text, RePairOptions opts = {});
+Slp RePairCompress(std::string_view text);
 
 }  // namespace slpspan
 

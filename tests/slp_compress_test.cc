@@ -7,23 +7,14 @@
 #include "gtest/gtest.h"
 #include "slp/lz78.h"
 #include "slp/repair.h"
+#include "test_util.h"
 #include "textgen/textgen.h"
 #include "util/rng.h"
 
 namespace slpspan {
 namespace {
 
-const char* kFixedInputs[] = {
-    "a",
-    "ab",
-    "aaaa",
-    "abab",
-    "mississippi",
-    "abracadabra abracadabra",
-    "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
-    "to be or not to be that is the question",
-    "xyzzyxyzzyxyzzyxyzzyxyzzyxyzzyxyzzyxyzzy",
-};
+using testing_util::kFixedInputs;
 
 TEST(RePair, RoundTripFixedInputs) {
   for (const std::string text : kFixedInputs) {
@@ -80,14 +71,6 @@ TEST(RePair, CompressesGeneratedLog) {
   const Slp slp = RePairCompress(log);
   EXPECT_EQ(slp.ExpandToString(), log);
   EXPECT_LT(slp.PaperSize(), log.size() / 2);
-}
-
-TEST(RePair, MaxRoundsCapsWork) {
-  const std::string text = GenerateRepeated("ab", 512);
-  const Slp capped = RePairCompress(text, {.max_rounds = 1});
-  EXPECT_EQ(capped.ExpandToString(), text);
-  const Slp uncapped = RePairCompress(text);
-  EXPECT_LE(uncapped.NumNonTerminals(), capped.NumNonTerminals());
 }
 
 TEST(Lz78, PhraseCountMatchesTheory) {

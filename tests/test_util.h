@@ -21,6 +21,20 @@
 namespace slpspan {
 namespace testing_util {
 
+/// Small fixed documents for the compressor tests: single symbols, runs,
+/// periodic and natural-language strings.
+inline constexpr const char* kFixedInputs[] = {
+    "a",
+    "ab",
+    "aaaa",
+    "abab",
+    "mississippi",
+    "abracadabra abracadabra",
+    "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+    "to be or not to be that is the question",
+    "xyzzyxyzzyxyzzyxyzzyxyzzyxyzzyxyzzyxyzzy",
+};
+
 /// The paper's Figure 2 DFA over Sigma = {a,b,c}, X = {x, y}:
 ///   Sigma* <x (a|b)+ >x Sigma*  ∪  Sigma* <y c+ >y Sigma*.
 /// States 0..5 correspond to the paper's 1..6 (0 start, 5 accepting).
