@@ -263,6 +263,9 @@ class DigramIndex {
   }
 
   // The run ending at the position after `last` loses that position.
+  // Walking a run costs its length; a round walks only runs of its two
+  // symbols, whose (a, a) counts (>= a third of the run lengths) are at most
+  // the round's count, so walks add O(replacements) in total.
   void ShrinkRunEnd(uint32_t last) {
     const uint32_t x = slots_[last].sym;
     uint32_t start = last;
