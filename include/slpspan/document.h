@@ -57,7 +57,8 @@ enum class Compression {
 class Document {
  public:
   /// Compresses `text` into an SLP. Fails with kInvalidArgument on empty
-  /// input (an SLP derives exactly one non-empty document).
+  /// input (an SLP derives exactly one non-empty document) and, for kRePair,
+  /// on input over 512 MiB.
   static Result<DocumentPtr> FromText(std::string_view text,
                                       Compression method = Compression::kRePair);
 

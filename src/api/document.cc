@@ -55,8 +55,11 @@ Result<DocumentPtr> Document::FromText(std::string_view text,
         "non-empty string)");
   }
   switch (method) {
-    case Compression::kRePair:
+    case Compression::kRePair: {
+      Status fits = CheckRePairInput(text.size());
+      if (!fits.ok()) return fits;
       return FromSlp(RePairCompress(text));
+    }
     case Compression::kLz78:
       return FromSlp(Lz78Compress(text));
     case Compression::kLz77:
@@ -77,6 +80,11 @@ Result<DocumentPtr> Document::FromFile(const std::string& path,
   std::string text;
   in.seekg(0, std::ios::end);
   const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size > 0 && method == Compression::kRePair) {
+    // Refuse before reading the file (FromText checks again).
+    Status fits = CheckRePairInput(static_cast<size_t>(size));
+    if (!fits.ok()) return fits;
+  }
   if (size > 0) {
     // Single read into a pre-sized buffer (no stringstream double-copy).
     in.seekg(0, std::ios::beg);

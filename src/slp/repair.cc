@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <ranges>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -15,14 +17,15 @@ namespace slpspan {
 namespace {
 
 constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
-// Symbol of a position that a replacement removed (see DigramIndex).
-constexpr uint32_t kHole = kNone;
-// Alphabets below this many symbol values are ranked by a direct table, and
-// up to this many terminal digrams are indexed by one.
-constexpr SymbolId kDirectSymbols = 1u << 16;
-constexpr uint64_t kDirectPairs = 1u << 18;
-// Occurrences ahead of the current one whose slots a replay prefetches.
-constexpr uint32_t kPrefetchDistance = 16;
+// Tags a hole's symbol field (see DigramIndex). Working symbols stay below
+// it: there are t <= n terminals and at most t leaves plus n/2 pairs, so
+// they are < 2.5 * kRePairMaxSymbols < 2^31.
+constexpr uint32_t kHoleBit = 1u << 31;
+static_assert(kRePairMaxSymbols * 5 / 2 < kHoleBit);
+// Inputs whose symbol values are all below this (bytes) are ranked and
+// their digrams indexed through direct tables, others through a sorted
+// alphabet and a hash map.
+constexpr SymbolId kDirectSymbols = 512;
 
 // Input symbols: byte strings are read as unsigned bytes (as ToSymbols does).
 SymbolId SymbolOf(SymbolId s) { return s; }
@@ -41,10 +44,16 @@ uint64_t Key(uint32_t first, uint32_t second) {
 // with assembler id A gets t + A (so terminals sort below non-terminals, and
 // non-terminals by assembler id).
 //
-// Positions keep their index for the whole run: replacing the occurrence at
-// (i, next(i)) writes the new symbol to i and turns next(i) into a hole that
-// the prev/next links skip. A position p with successor q belongs to the
-// digram record `rec`
+// A position is 8 bytes, its symbol and its record. Replacing the
+// occurrence at (i, next(i)) writes the new symbol to i and turns next(i)
+// into a hole. Holes reuse both fields as links past the stretch of holes
+// they lie in: the stretch's first hole holds kHoleBit | (the next live
+// position) and its last one holds the previous live position in `rec`, so
+// next and prev are O(1). Any other hole keeps the forward link it was
+// given, to a later position that was live then. Once holes fill half the
+// array, Compact() squeezes them out.
+//
+// A live position p with live successor q belongs to the digram record `rec`
 //   * of (sym[p], sym[q]) when the two differ;
 //   * of (a, a) when p starts a maximal run a^k, k >= 2 — that record's
 //     count is the sum of floor(k/2) over its runs, the number of
@@ -58,76 +67,64 @@ uint64_t Key(uint32_t first, uint32_t second) {
 // span entry goes stale, to be skipped when the list is replayed. The one
 // exception is a run whose first position is consumed: its start moves one
 // position right, and the entry still names the old start, now a hole whose
-// `next` leads to the new one.
+// forward links lead to the new one.
 class DigramIndex {
  public:
   template <typename Text>  // std::vector<SymbolId> or std::string_view
-  explicit DigramIndex(const Text& text) {
-    // Working symbols of non-terminals reach about 2 * text.size().
-    SLPSPAN_CHECK(text.size() <= (1u << 30));
-    const uint32_t n = static_cast<uint32_t>(text.size());
-
-    // Terminal ranks and initial digram records come from direct tables
-    // on small alphabets (bytes), from hash maps otherwise.
+  explicit DigramIndex(const Text& text) : n_(static_cast<uint32_t>(text.size())) {
+    // Contract: user-input paths call CheckRePairInput first.
+    SLPSPAN_CHECK(text.size() <= kRePairMaxSymbols);  // repo-lint: allow(check-in-library)
     SymbolId max_sym = 0;
     for (const auto c : text) max_sym = std::max(max_sym, SymbolOf(c));
-    const bool small_alphabet = max_sym < kDirectSymbols;
-    std::vector<uint32_t> rank_table;
-    std::unordered_map<SymbolId, uint32_t> rank_map;
-    if (small_alphabet) {
-      rank_table.assign(max_sym + 1, kNone);
-      for (const auto c : text) rank_table[SymbolOf(c)] = 0;
+    const bool direct = max_sym < kDirectSymbols;
+    std::vector<uint32_t> rank;
+    if (direct) {
+      rank.assign(max_sym + 1, kNone);
+      for (const auto c : text) rank[SymbolOf(c)] = 0;
       for (SymbolId s = 0; s <= max_sym; ++s) {
-        if (rank_table[s] == kNone) continue;
-        rank_table[s] = static_cast<uint32_t>(terminals_.size());
+        if (rank[s] == kNone) continue;
+        rank[s] = static_cast<uint32_t>(terminals_.size());
         terminals_.push_back(s);
       }
     } else {
-      for (const auto c : text) {
-        if (rank_map.emplace(SymbolOf(c), 0).second) terminals_.push_back(SymbolOf(c));
-      }
+      for (const auto c : text) terminals_.push_back(SymbolOf(c));
       std::sort(terminals_.begin(), terminals_.end());
-      for (uint32_t i = 0; i < terminals_.size(); ++i) rank_map[terminals_[i]] = i;
+      terminals_.erase(std::unique(terminals_.begin(), terminals_.end()), terminals_.end());
     }
-
-    slots_.resize(n);
-    for (uint32_t p = 0; p < n; ++p) {
+    slots_.resize(n_);
+    for (uint32_t p = 0; p < n_; ++p) {
       const SymbolId s = SymbolOf(text[p]);
-      slots_[p].sym = small_alphabet ? rank_table[s] : rank_map[s];
-      slots_[p].prev = p == 0 ? kNone : p - 1;
-      slots_[p].next = p + 1 == n ? kNone : p + 1;
+      slots_[p].sym = direct ? rank[s]
+                             : static_cast<uint32_t>(
+                                   std::lower_bound(terminals_.begin(), terminals_.end(), s) -
+                                   terminals_.begin());
     }
 
-    // Every round adds at most two list entries per replaced occurrence,
-    // and the input at most one per position.
-    occ_.reserve(3 * static_cast<size_t>(n));
+    // Lists never outgrow the input plus two entries per replacement.
+    occ_.reserve(3 * static_cast<size_t>(n_));
     const uint64_t t = terminals_.size();
-    std::vector<uint32_t> pair_table;
+    std::vector<uint32_t> pair_table(direct ? t * t : 0, kNone);
     std::unordered_map<uint64_t, uint32_t> pair_map;
-    if (t * t <= kDirectPairs) pair_table.assign(t * t, kNone);
     const auto record = [&](uint32_t a, uint32_t b) {
-      uint32_t* r = pair_table.empty() ? &pair_map.try_emplace(Key(a, b), kNone).first->second
-                                       : &pair_table[a * t + b];
-      if (*r == kNone) {
-        *r = static_cast<uint32_t>(recs_.size());
-        recs_.push_back({Key(a, b), 0, 0, 0});
-      }
-      return *r;
+      uint32_t& r = direct ? pair_table[a * t + b]
+                           : pair_map.try_emplace(Key(a, b), kNone).first->second;
+      if (r == kNone) r = NewRecord(Key(a, b));
+      return r;
     };
-    for (uint32_t p = 0; p + 1 < n;) {
+    for (uint32_t p = 0; p + 1 < n_;) {
       const uint32_t a = slots_[p].sym;
       if (slots_[p + 1].sym != a) {
-        Link(p, record(a, slots_[p + 1].sym), 1);
+        Index(p, record(a, slots_[p + 1].sym), 1);
         ++p;
         continue;
       }
       uint32_t end = p + 1;
-      while (end + 1 < n && slots_[end + 1].sym == a) ++end;
-      Link(p, record(a, a), (end - p + 1) / 2);
+      while (end + 1 < n_ && slots_[end + 1].sym == a) ++end;
+      Index(p, record(a, a), (end - p + 1) / 2);
       p = end;  // the run's last position pairs with a different symbol
     }
-    LayOutLists(0);
-    linked_.shrink_to_fit();
+    LayOutLists(0, std::views::iota(0u, n_));
+    for (uint32_t r = 0; r < recs_.size(); ++r) Push(r);
   }
 
   uint32_t NumTerminals() const { return static_cast<uint32_t>(terminals_.size()); }
@@ -159,6 +156,7 @@ class DigramIndex {
   // PopMostFrequent by `fresh`, left to right and non-overlapping, then
   // indexes the digrams the new symbol forms with its neighbours.
   void ReplaceAll(uint32_t fresh) {
+    SLPSPAN_DCHECK(fresh < kHoleBit);  // repo-lint: allow(check-in-library)
     const uint32_t r = current_;
     const PairRecord rec = recs_[r];
     const bool run = rec.key >> 32 == (rec.key & 0xffffffffu);
@@ -168,21 +166,12 @@ class DigramIndex {
       right_rec_.resize(2 * static_cast<size_t>(fresh) + 1, kNone);
     }
     for (uint32_t e = rec.begin; e < rec.end; ++e) {
-      // The list is in position order but sparse: fetch the slots of a
-      // later occurrence (and its neighbours) ahead of time.
-      if (e + kPrefetchDistance < rec.end) {
-        const uint32_t q = occ_[e + kPrefetchDistance];
-        const Slot* ahead = slots_.data() + q;
-        __builtin_prefetch(q > 0 ? ahead - 1 : ahead);
-        __builtin_prefetch(ahead);
-        __builtin_prefetch(ahead + 1);
-      }
       uint32_t p = occ_[e];
       if (run) {
-        while (p != kNone && slots_[p].sym == kHole) p = slots_[p].next;
+        while (p != kNone && IsHole(p)) p = Forward(p);
         if (p == kNone) continue;
       }
-      if (slots_[p].rec != r) continue;  // stale entry
+      if (IsHole(p) || slots_[p].rec != r) continue;  // stale entry
       if (run) {
         ReplaceRun(p, fresh);
       } else {
@@ -191,23 +180,22 @@ class DigramIndex {
     }
     CloseBlock(fresh);
     recs_[r].count = 0;
-    LayOutLists(first_new_);
+    LayOutLists(first_new_, linked_);
+    linked_.clear();
+    for (uint32_t s = first_new_; s < recs_.size(); ++s) Push(s);
+    if (2 * holes_ > n_) Compact();
   }
 
   // The remaining sequence, left to right (position 0 is never a hole).
   std::vector<uint32_t> Sequence() const {
     std::vector<uint32_t> seq;
-    for (uint32_t p = 0; p != kNone; p = slots_[p].next) {
-      seq.push_back(slots_[p].sym);
-    }
+    for (uint32_t p = 0; p != kNone; p = Next(p)) seq.push_back(slots_[p].sym);
     return seq;
   }
 
  private:
   struct Slot {
     uint32_t sym;
-    uint32_t prev;
-    uint32_t next;
     uint32_t rec = kNone;
   };
   struct PairRecord {
@@ -226,34 +214,87 @@ class DigramIndex {
     }
   };
 
+  bool IsHole(uint32_t p) const { return slots_[p].sym & kHoleBit; }
+
+  // The position the hole at p links forward to, kNone past the end.
+  uint32_t Forward(uint32_t p) const {
+    const uint32_t q = slots_[p].sym & ~kHoleBit;
+    return q == n_ ? kNone : q;
+  }
+
+  // The live positions around the live position p, kNone past either end.
+  uint32_t Next(uint32_t p) const {
+    if (p + 1 == n_) return kNone;
+    return IsHole(p + 1) ? Forward(p + 1) : p + 1;
+  }
+  uint32_t Prev(uint32_t p) const {
+    if (p == 0) return kNone;
+    return IsHole(p - 1) ? slots_[p - 1].rec : p - 1;
+  }
+
+  uint32_t NewRecord(uint64_t key) {
+    recs_.push_back({key, 0, 0, 0});
+    return static_cast<uint32_t>(recs_.size() - 1);
+  }
+
   void Push(uint32_t r) {
     if (recs_[r].count < 2) return;
     heap_.push_back({recs_[r].count, r, recs_[r].key});
     std::push_heap(heap_.begin(), heap_.end());
   }
 
-  // Adds p to the list of record r (made this round), with `count`
-  // occurrences. `end` counts the entries until LayOutLists.
-  void Link(uint32_t p, uint32_t r, uint32_t count) {
+  // Adds p, with `count` occurrences, to record r made this round. `end`
+  // counts the entries until LayOutLists.
+  void Index(uint32_t p, uint32_t r, uint32_t count) {
     slots_[p].rec = r;
     recs_[r].count += count;
     ++recs_[r].end;
-    linked_.push_back({p, r});
   }
 
-  // Gives the records from `first` on their spans of occ_, filled from
-  // linked_ in link order.
-  void LayOutLists(uint32_t first) {
+  // Index, and queue p for this round's layout.
+  void Link(uint32_t p, uint32_t r, uint32_t count) {
+    Index(p, r, count);
+    linked_.push_back(p);
+  }
+
+  // Gives the records from `first` on spans of occ_ sized by their `end`
+  // counts and fills them with the positions indexed to them, taken from
+  // `positions` in position order. A digram that does not repeat gets no
+  // list: it is never replaced.
+  template <typename Positions>
+  void LayOutLists(uint32_t first, const Positions& positions) {
     uint32_t offset = static_cast<uint32_t>(occ_.size());
     for (uint32_t r = first; r < recs_.size(); ++r) {
-      const uint32_t entries = recs_[r].end;
+      const uint32_t entries = recs_[r].count >= 2 ? recs_[r].end : 0;
       recs_[r].begin = recs_[r].end = offset;
       offset += entries;
-      Push(r);
     }
     occ_.resize(offset);
-    for (const auto& [p, r] : linked_) occ_[recs_[r].end++] = p;
-    linked_.clear();
+    for (const uint32_t p : positions) {
+      const uint32_t r = slots_[p].rec;
+      if (r != kNone && recs_[r].count >= 2) occ_[recs_[r].end++] = p;
+    }
+  }
+
+  // Drops the holes, renumbering the live positions 0..live-1, and rebuilds
+  // the lists of the digrams that still repeat from the sequence, which
+  // drops their stale entries. Run once holes fill half the array, it costs
+  // O(n) over the whole run and keeps later rounds on a smaller array in
+  // which neighbours are adjacent.
+  void Compact() {
+    uint32_t live = 0;
+    for (uint32_t p = 0; p < n_; ++p) {
+      if (!IsHole(p)) slots_[live++] = slots_[p];
+    }
+    n_ = live;
+    holes_ = 0;
+    slots_.resize(n_);
+    for (PairRecord& rec : recs_) rec.end = 0;
+    for (const Slot& slot : slots_) {
+      if (slot.rec != kNone) ++recs_[slot.rec].end;
+    }
+    occ_.clear();
+    LayOutLists(0, std::views::iota(0u, n_));
   }
 
   // Removes the occurrence of a digram of two distinct symbols at p.
@@ -270,8 +311,8 @@ class DigramIndex {
     const uint32_t x = slots_[last].sym;
     uint32_t start = last;
     uint32_t len = 2;
-    while (slots_[start].prev != kNone && slots_[slots_[start].prev].sym == x) {
-      start = slots_[start].prev;
+    for (uint32_t h = Prev(start); h != kNone && slots_[h].sym == x; h = Prev(h)) {
+      start = h;
       ++len;
     }
     recs_[slots_[start].rec].count -= len / 2 - (len - 1) / 2;
@@ -282,27 +323,25 @@ class DigramIndex {
   void ShiftRunStart(uint32_t start, uint32_t new_start) {
     const uint32_t y = slots_[start].sym;
     uint32_t len = 2;
-    for (uint32_t p = new_start;
-         slots_[p].next != kNone && slots_[slots_[p].next].sym == y;
-         p = slots_[p].next) {
-      ++len;
-    }
+    for (uint32_t k = Next(new_start); k != kNone && slots_[k].sym == y; k = Next(k)) ++len;
     const uint32_t r = slots_[start].rec;
     slots_[start].rec = kNone;
     recs_[r].count -= len / 2 - (len - 1) / 2;
     if (len > 2) slots_[new_start].rec = r;
   }
 
-  // i takes the new symbol and j = next(i) becomes a hole. The hole keeps
-  // its `next`, which a run's list entry may follow (see the class comment).
+  // i takes the new symbol and j = next(i) becomes a hole, which joins the
+  // holes between i and `after` = next(j) into one stretch. j keeps a
+  // forward link even inside the stretch, for a run's list entry that names
+  // it (see the class comment).
   void Contract(uint32_t i, uint32_t fresh) {
-    const uint32_t j = slots_[i].next;
-    const uint32_t after = slots_[j].next;
-    SLPSPAN_DCHECK(slots_[j].rec == kNone);
+    const uint32_t j = Next(i);
+    const uint32_t after = Next(j) == kNone ? n_ : Next(j);
+    SLPSPAN_DCHECK(slots_[j].rec == kNone);  // repo-lint: allow(check-in-library)
     slots_[i].sym = fresh;
-    slots_[i].next = after;
-    if (after != kNone) slots_[after].prev = i;
-    slots_[j].sym = kHole;
+    slots_[j].sym = slots_[i + 1].sym = kHoleBit | after;
+    slots_[after - 1].rec = i;
+    ++holes_;
     AddFresh(i, fresh);
   }
 
@@ -311,14 +350,14 @@ class DigramIndex {
   // still be replaced: consecutive new symbols form a block whose run and
   // right digram are indexed once the block is closed.
   void AddFresh(uint32_t i, uint32_t fresh) {
-    const uint32_t h = slots_[i].prev;
+    const uint32_t h = Prev(i);
     if (h != kNone && h == block_end_) {
       block_end_ = i;
       ++block_len_;
       return;
     }
     CloseBlock(fresh);
-    if (h != kNone) Link(h, NewRecord(left_rec_, slots_[h].sym, true, fresh), 1);
+    if (h != kNone) Link(h, RoundRecord(left_rec_, slots_[h].sym, true, fresh), 1);
     block_start_ = block_end_ = i;
     block_len_ = 1;
   }
@@ -326,10 +365,10 @@ class DigramIndex {
   void CloseBlock(uint32_t fresh) {
     if (block_start_ == kNone) return;
     if (block_len_ >= 2) {
-      Link(block_start_, NewRecord(right_rec_, fresh, false, fresh), block_len_ / 2);
+      Link(block_start_, RoundRecord(right_rec_, fresh, false, fresh), block_len_ / 2);
     }
-    const uint32_t k = slots_[block_end_].next;
-    if (k != kNone) Link(block_end_, NewRecord(right_rec_, slots_[k].sym, false, fresh), 1);
+    const uint32_t k = Next(block_end_);
+    if (k != kNone) Link(block_end_, RoundRecord(right_rec_, slots_[k].sym, false, fresh), 1);
     block_start_ = block_end_ = kNone;
   }
 
@@ -338,10 +377,10 @@ class DigramIndex {
   // digrams).
   void ReplaceOccurrence(uint32_t i, uint32_t fresh) {
     const uint32_t x = slots_[i].sym;
-    const uint32_t j = slots_[i].next;
+    const uint32_t j = Next(i);
     const uint32_t y = slots_[j].sym;
     slots_[i].rec = kNone;
-    const uint32_t h = slots_[i].prev;
+    const uint32_t h = Prev(i);
     if (h != kNone && slots_[h].sym != fresh) {
       if (slots_[h].sym == x) {
         ShrinkRunEnd(h);
@@ -349,7 +388,7 @@ class DigramIndex {
         DropPair(h);
       }
     }
-    const uint32_t k = slots_[j].next;
+    const uint32_t k = Next(j);
     if (k != kNone && slots_[k].sym != fresh) {
       if (slots_[k].sym == y) {
         ShiftRunStart(j, k);
@@ -367,40 +406,38 @@ class DigramIndex {
     slots_[start].rec = kNone;
     uint32_t end = start;
     uint32_t len = 1;
-    while (slots_[end].next != kNone && slots_[slots_[end].next].sym == x) {
-      end = slots_[end].next;
+    for (uint32_t k = Next(end); k != kNone && slots_[k].sym == x; k = Next(k)) {
+      end = k;
       ++len;
     }
-    const uint32_t h = slots_[start].prev;
+    const uint32_t h = Prev(start);
     if (h != kNone && slots_[h].sym != fresh) DropPair(h);
-    if (len % 2 == 0 && slots_[end].next != kNone) DropPair(end);
+    if (len % 2 == 0 && Next(end) != kNone) DropPair(end);
     uint32_t p = start;
     for (uint32_t t = 0; t < len / 2; ++t) {
       Contract(p, fresh);
-      p = slots_[p].next;
+      p = Next(p);
     }
   }
 
   // This round's record of the digram (sym, fresh) when `left`, else
   // (fresh, sym). `by_sym` remembers the record last made per sym; one made
   // before first_new_ belongs to an earlier round.
-  uint32_t NewRecord(std::vector<uint32_t>& by_sym, uint32_t sym, bool left,
-                     uint32_t fresh) {
+  uint32_t RoundRecord(std::vector<uint32_t>& by_sym, uint32_t sym, bool left,
+                       uint32_t fresh) {
     uint32_t& r = by_sym[sym];
-    if (r == kNone || r < first_new_) {
-      r = static_cast<uint32_t>(recs_.size());
-      recs_.push_back({left ? Key(sym, fresh) : Key(fresh, sym), 0, 0, 0});
-    }
+    if (r == kNone || r < first_new_) r = NewRecord(left ? Key(sym, fresh) : Key(fresh, sym));
     return r;
   }
 
+  uint32_t n_;          // positions, holes included
+  uint32_t holes_ = 0;
   std::vector<SymbolId> terminals_;  // by working symbol
   std::vector<Slot> slots_;
   std::vector<PairRecord> recs_;
   std::vector<uint32_t> occ_;  // occurrence list entries (positions)
   std::vector<HeapEntry> heap_;
-  // (position, record) linked since the last layout.
-  std::vector<std::pair<uint32_t, uint32_t>> linked_;
+  std::vector<uint32_t> linked_;  // positions linked since the last layout
   // This round's record of (sym, fresh) / (fresh, sym), indexed by sym.
   std::vector<uint32_t> left_rec_, right_rec_;
   uint32_t current_ = kNone;    // record being replaced
@@ -410,14 +447,15 @@ class DigramIndex {
   uint32_t block_len_ = 0;
 };
 
-}  // namespace
-
-namespace {
-
 template <typename Text>
 Slp Compress(const Text& text) {
-  SLPSPAN_CHECK(!text.empty());
-  CnfAssembler a;
+  // Contract: Document::FromText rejects empty text first.
+  SLPSPAN_CHECK(!text.empty());  // repo-lint: allow(check-in-library)
+  // No pair is ever asked for twice, so the assembler need not look pairs
+  // up: a replaced digram cannot form again (every new adjacency involves
+  // the new symbol), no digram of the final sequence repeats, and every
+  // pair Balanced makes above its first level has a child it just made.
+  CnfAssembler a(/*dedup_pairs=*/false);
   std::vector<NtId> parts;
   {
     DigramIndex index(text);
@@ -436,6 +474,12 @@ Slp Compress(const Text& text) {
 }
 
 }  // namespace
+
+Status CheckRePairInput(size_t symbols) {
+  if (symbols <= kRePairMaxSymbols) return Status::OK();
+  return Status::InvalidArgument("RePair accepts at most " + std::to_string(kRePairMaxSymbols) +
+                                 " symbols, got " + std::to_string(symbols));
+}
 
 Slp RePairCompress(const std::vector<SymbolId>& text) { return Compress(text); }
 

@@ -16,8 +16,8 @@
 // Pair counts, per-pair occurrence lists and a lazily invalidated max-heap
 // are maintained across rounds: a replacement only updates the pairs next to
 // the occurrences it rewrites, and no round rescans the sequence. Time is
-// O(n log n) for n input symbols, space O(n) (about 30 bytes per symbol);
-// inputs are limited to 2^30 symbols.
+// O(n log n) for n input symbols, space O(n) (8 bytes per position plus up
+// to 12 bytes of list entries); inputs are limited to kRePairMaxSymbols.
 
 #ifndef SLPSPAN_SLP_REPAIR_H_
 #define SLPSPAN_SLP_REPAIR_H_
@@ -26,10 +26,19 @@
 #include <vector>
 
 #include "slp/slp.h"
+#include "util/status.h"
 
 namespace slpspan {
 
-/// Compresses a non-empty symbol sequence into a normal-form SLP.
+/// The longest input RePairCompress accepts, in symbols (512 Mi).
+inline constexpr size_t kRePairMaxSymbols = size_t{1} << 29;
+
+/// OK when RePairCompress accepts an input of `symbols` symbols, else
+/// kInvalidArgument. Callers on user-input paths check before compressing.
+Status CheckRePairInput(size_t symbols);
+
+/// Compresses a non-empty symbol sequence of at most kRePairMaxSymbols
+/// symbols into a normal-form SLP.
 Slp RePairCompress(const std::vector<SymbolId>& text);
 
 /// Convenience overload for byte strings.

@@ -46,17 +46,22 @@ std::string SavedBytes(const Slp& slp) {
   return bytes.str();
 }
 
-void ExpectSameGrammar(const std::vector<SymbolId>& text, const std::string& label) {
-  const Slp fast = RePairCompress(text);
-  const Slp ref = ReferenceRePairCompress(text);
+void ExpectSame(const Slp& fast, const Slp& ref, const std::string& label) {
   EXPECT_EQ(fast.root(), ref.root()) << label;
   EXPECT_EQ(Rules(fast), Rules(ref)) << label;
   EXPECT_EQ(SavedBytes(fast), SavedBytes(ref)) << label;
 }
 
+void ExpectSameGrammar(const std::vector<SymbolId>& text, const std::string& label) {
+  ExpectSame(RePairCompress(text), ReferenceRePairCompress(text), label);
+}
+
+// Both overloads: bytes and the same text as symbol ids.
 void ExpectSameGrammar(const std::string& text, const std::string& label) {
-  ExpectSameGrammar(ToSymbols(text), label);
-  EXPECT_EQ(RePairCompress(text).ExpandToString(), text) << label;
+  const Slp ref = ReferenceRePairCompress(text);
+  ExpectSame(RePairCompress(text), ref, label);
+  ExpectSame(RePairCompress(ToSymbols(text)), ref, label + " (as symbol ids)");
+  EXPECT_EQ(ref.ExpandToString(), text) << label;
 }
 
 std::string Repeat(const std::string& block, size_t times) {
@@ -132,6 +137,14 @@ TEST(RePairDifferential, WideSymbolIds) {
     text.push_back(0xFFFFFFFFu - static_cast<SymbolId>(rng.Below(5)));
   }
   ExpectSameGrammar(text, "wide symbols");
+  // Hundreds of distinct ids around the bound of the byte-sized tables.
+  for (const SymbolId top : {511u, 512u, 700u}) {
+    text.clear();
+    for (int i = 0; i < 3000; ++i) {
+      text.push_back(static_cast<SymbolId>(rng.Below(8) == 0 ? rng.Below(top + 1) : top));
+    }
+    ExpectSameGrammar(text, "ids up to " + std::to_string(top));
+  }
 }
 
 TEST(RePairDifferential, GeneratedDocuments) {

@@ -7,6 +7,7 @@
 #include "slpspan/slpspan.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <latch>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include "core/bool_matrix.h"
 #include "gtest/gtest.h"
+#include "slp/repair.h"
 #include "slpspan/textgen.h"
 #include "test_util.h"
 
@@ -295,6 +297,19 @@ TEST(DocumentFromFile, EmptyFileIsAClearError) {
   EXPECT_EQ(StatusCode::kInvalidArgument, doc.status().code());
   EXPECT_NE(std::string::npos, doc.status().message().find("empty"));
   std::remove(path.c_str());
+}
+
+TEST(DocumentFromFile, OverRePairLimitIsRefusedBeforeReading) {
+  // A sparse file one byte past the limit: refused from its size alone,
+  // without reading (or allocating) its 512 MiB.
+  const std::string path = ::testing::TempDir() + "/over_limit.txt";
+  { std::ofstream out(path, std::ios::binary); }
+  std::filesystem::resize_file(path, kRePairMaxSymbols + 1);
+  Result<DocumentPtr> doc = Document::FromFile(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(doc.ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument, doc.status().code());
+  EXPECT_NE(std::string::npos, doc.status().message().find("RePair"));
 }
 
 TEST(DocumentFromFile, MissingFileIsRecoverable) {

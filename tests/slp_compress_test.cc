@@ -73,6 +73,14 @@ TEST(RePair, CompressesGeneratedLog) {
   EXPECT_LT(slp.PaperSize(), log.size() / 2);
 }
 
+TEST(RePair, InputLimitIsAStatus) {
+  EXPECT_TRUE(CheckRePairInput(1).ok());
+  EXPECT_TRUE(CheckRePairInput(kRePairMaxSymbols).ok());
+  const Status over = CheckRePairInput(kRePairMaxSymbols + 1);
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.message().find("RePair"), std::string::npos);
+}
+
 TEST(Lz78, PhraseCountMatchesTheory) {
   // a^n has Theta(sqrt(n)) LZ78 phrases.
   const std::string text(10000, 'a');

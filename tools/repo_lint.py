@@ -100,6 +100,7 @@ USER_INPUT_REACHABLE = [
     "src/spanner/nfa",
     "src/slp/serialize",
     "src/slp/factory",
+    "src/slp/repair",
 ]
 
 SOURCE_DIRS = ["src", "include", "tools"]
